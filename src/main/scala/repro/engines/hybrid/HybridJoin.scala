@@ -21,6 +21,10 @@ import repro.sparql._
   *                   inputs) with partitioned joins (large-large), starting
   *                   from the most selective pattern.
   *
+  * `Broadcast` and `Hybrid` take pattern cardinalities from [[Stats]]
+  * gathered once by `load()`, so `execute()` runs no Spark job and caches
+  * nothing.
+  *
   * Fragment: BGP (Table II).
   */
 object HybridJoin {
@@ -51,13 +55,14 @@ final class HybridJoin(
 
   private var spark: SparkSession = _
   private var triples: DataFrame = _
+  private var stats: Stats = _
   private val viewName = "hybrid_triples"
 
   override def load(df: DataFrame): Unit = {
     spark = df.sparkSession
     triples = df.repartition(col("s")).cache()
     triples.createOrReplaceTempView(viewName)
-    triples.count()
+    stats = Stats.compute(triples)
   }
 
   override def execute(q: Query): DataFrame = executeWith(q, strategy)
@@ -76,43 +81,25 @@ final class HybridJoin(
           .reduceLeft((l, r) => PatternDf.joinBindings(l.hint("merge"), r))
       case Broadcast =>
         // the DataFrame approach: size-based preference for broadcast joins
-        ps.map { tp =>
-          val part = PatternDf.matchPattern(triples, tp).cache()
-          (part, part.count())
-        }.reduceLeft[(DataFrame, Long)] { case ((l, _), (r, rSize)) =>
-          val joined =
-            if (rSize <= broadcastThreshold) PatternDf.joinBindings(l, broadcast(r))
-            else PatternDf.joinBindings(l, r)
-          (joined, rSize)
-        }._1
-      case Hybrid => hybridPlan(ps)
+        broadcastSmall(ps)(PatternDf.joinBindings)
+      case Hybrid =>
+        // the hybrid greedy optimizer: start from the most selective
+        // pattern, then always the cheapest connected one; inputs over the
+        // threshold get a partitioned join
+        broadcastSmall(stats.reorder(ps))((l, r) => PatternDf.joinBindings(l.hint("merge"), r))
     }
     Results.applyModifiers(df, q)
   }
 
-  /** The hybrid greedy optimizer: start from the most selective pattern;
-    * at each step pick the connected pattern with the smallest cardinality
-    * and broadcast it if it is under the threshold, else do a partitioned
-    * join.
+  /** Joins the patterns in the given order, broadcasting each one whose
+    * estimated cardinality is at most the threshold and joining the others
+    * with `large`.
     */
-  private def hybridPlan(ps: Seq[TriplePattern]): DataFrame = {
-    val parts = ps.map(tp => (tp, PatternDf.matchPattern(triples, tp).cache()))
-    val sized = parts.map { case (tp, df) => (tp, df, df.count()) }
-    val remaining = scala.collection.mutable.ArrayBuffer(sized: _*)
-    val first = remaining.minBy(_._3)
-    remaining -= first
-    var acc = first._2
-    var accVars = first._1.varSet
-    while (remaining.nonEmpty) {
-      val connected = remaining.filter(_._1.varSet.intersect(accVars).nonEmpty)
-      val pool = if (connected.nonEmpty) connected else remaining
-      val next = pool.minBy(_._3)
-      remaining -= next
-      acc =
-        if (next._3 <= broadcastThreshold) PatternDf.joinBindings(acc, broadcast(next._2))
-        else PatternDf.joinBindings(acc.hint("merge"), next._2)
-      accVars ++= next._1.varSet
+  private def broadcastSmall(ordered: Seq[TriplePattern])(
+      large: (DataFrame, DataFrame) => DataFrame): DataFrame =
+    ordered.tail.foldLeft(PatternDf.matchPattern(triples, ordered.head)) { (acc, tp) =>
+      val r = PatternDf.matchPattern(triples, tp)
+      if (stats.estimate(tp) <= broadcastThreshold) PatternDf.joinBindings(acc, broadcast(r))
+      else large(acc, r)
     }
-    acc
-  }
 }

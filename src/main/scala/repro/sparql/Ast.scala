@@ -97,18 +97,34 @@ final case class Query(
   *
   * Semantics mirror the SQL produced by [[SqlFilter]]: when one side is a
   * numeric constant the comparison is numeric (`TRY_CAST(col AS DOUBLE)`),
-  * and a non-numeric bound value makes the comparison false (SQL NULL);
-  * otherwise comparisons are plain string comparisons. An unbound variable
-  * makes the comparison false.
+  * otherwise comparisons are plain string comparisons. Evaluation is
+  * three-valued, as in SPARQL and SQL: a non-numeric value under a numeric
+  * comparison (SQL NULL, a SPARQL type error) or an unbound variable makes
+  * the comparison *unknown*; `!` of unknown is unknown, `&&` and `||`
+  * follow the SQL truth table, and only a true FILTER keeps the row.
   */
 object FilterEval {
   private[sparql] val NumericRe = "^-?\\d+(\\.\\d+)?$".r
   def isNumeric(s: String): Boolean = NumericRe.matches(s)
 
-  def eval(f: FilterExpr, b: String => Option[String]): Boolean = f match {
-    case And(l, r) => eval(l, b) && eval(r, b)
-    case Or(l, r)  => eval(l, b) || eval(r, b)
-    case Not(e)    => !eval(e, b)
+  /** Whether the FILTER keeps the binding: true, not false or unknown. */
+  def eval(f: FilterExpr, b: String => Option[String]): Boolean = eval3(f, b).contains(true)
+
+  /** Three-valued evaluation; `None` is unknown. */
+  private[sparql] def eval3(f: FilterExpr, b: String => Option[String]): Option[Boolean] = f match {
+    case And(l, r) =>
+      (eval3(l, b), eval3(r, b)) match {
+        case (Some(false), _) | (_, Some(false)) => Some(false)
+        case (Some(true), Some(true))            => Some(true)
+        case _                                   => None
+      }
+    case Or(l, r) =>
+      (eval3(l, b), eval3(r, b)) match {
+        case (Some(true), _) | (_, Some(true)) => Some(true)
+        case (Some(false), Some(false))        => Some(false)
+        case _                                 => None
+      }
+    case Not(e) => eval3(e, b).map(!_)
     case Cmp(lhs, rhs, op) =>
       def value(t: Term): Option[String] = t match {
         case Var(n)   => b(n)
@@ -119,13 +135,11 @@ object FilterEval {
           val numeric =
             (lhs.isVar != rhs.isVar) && // var-vs-const comparison
               (if (lhs.isVar) isNumeric(r) else isNumeric(l))
-          if (numeric) {
-            (l.toDoubleOption, r.toDoubleOption) match {
-              case (Some(ld), Some(rd)) => cmp(ld.compareTo(rd), op)
-              case _                    => false // TRY_CAST → NULL
-            }
-          } else cmp(l.compareTo(r), op)
-        case _ => false
+          if (numeric)
+            for (ld <- l.toDoubleOption; rd <- r.toDoubleOption) // TRY_CAST → NULL
+              yield cmp(ld.compareTo(rd), op)
+          else Some(cmp(l.compareTo(r), op))
+        case _ => None
       }
   }
 

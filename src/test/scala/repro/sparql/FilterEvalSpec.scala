@@ -56,6 +56,26 @@ class FilterEvalSpec extends AnyFunSuite {
     assert(FilterEval.eval(Not(f), b("a" -> "45")))
   }
 
+  test("three-valued: a type error is unknown, ! keeps it unknown, &&/|| follow SQL") {
+    val bound = b("a" -> "abc", "c" -> "c1")
+    val t = Cmp(Var("c"), Const("c1"), "=")
+    val f = Cmp(Var("c"), Const("c2"), "=")
+    val u = Cmp(Var("a"), Const("70"), "<") // TRY_CAST('abc') is NULL
+    val value = Map[FilterExpr, Option[Boolean]](t -> Some(true), f -> Some(false), u -> None)
+    for ((x, vx) <- value; (y, vy) <- value) {
+      val and = if (vx.contains(false) || vy.contains(false)) Some(false)
+        else if (vx.contains(true) && vy.contains(true)) Some(true) else None
+      val or = if (vx.contains(true) || vy.contains(true)) Some(true)
+        else if (vx.contains(false) && vy.contains(false)) Some(false) else None
+      assert(FilterEval.eval3(And(x, y), bound) == and)
+      assert(FilterEval.eval3(Or(x, y), bound) == or)
+    }
+    assert(FilterEval.eval3(Not(u), bound).isEmpty)
+    assert(!FilterEval.eval(Not(u), bound)) // the rows of filter-not-mixed-empty are dropped
+    assert(!FilterEval.eval(Not(Cmp(Var("zz"), Const("1"), "=")), b()))
+    assert(FilterEval.eval(Or(u, t), bound))
+  }
+
   test("property: numeric comparisons agree with Double ordering") {
     forAll(Gen.zip(Gen.chooseNum(-1000, 1000), Gen.chooseNum(-1000, 1000))) { case (x, y) =>
       assert(FilterEval.eval(Cmp(Var("v"), Const(y.toString), "<"), b("v" -> x.toString)) == (x < y))
