@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.sql.DataFrame
 import repro.sparql.Query
 
@@ -23,11 +24,18 @@ final case class EngineInfo(
 trait SparqlEngine {
   def info: EngineInfo
 
-  /** Ingest the dataset (string columns s, p, o). May build indexes,
-    * partitions, dictionaries, graphs — whatever the system's storage
-    * layer prescribes.
+  /** Ingest the dataset (string columns s, p, o) into storage the engine
+    * owns. The input is materialized once as a local checkpoint, which cuts
+    * its lineage: the engine's indexes, partitions, dictionaries and graphs
+    * are built from that copy, so no query re-analyzes or re-evaluates the
+    * caller's plan, and the caller may unpersist its DataFrame.
     */
-  def load(triples: DataFrame): Unit
+  final def load(triples: DataFrame): Unit = build(triples.localCheckpoint())
+
+  /** Builds the storage layer the system prescribes from a materialized,
+    * lineage-free copy of the triples.
+    */
+  protected def build(triples: DataFrame): Unit
 
   /** Answer a query. Callers must only pass queries `supports` accepts. */
   def execute(q: Query): DataFrame
@@ -38,4 +46,15 @@ trait SparqlEngine {
     */
   def supports(q: Query): Boolean =
     if (info.sparqlFragment == "BGP+") true else q.isPlainBgp
+
+  /** A temp-view name unique to this instance, so engines loaded with
+    * different data in one session never read each other's views.
+    */
+  protected final def uniqueView(base: String): String = s"${base}_$instanceId"
+
+  private val instanceId: Long = SparqlEngine.instances.incrementAndGet()
+}
+
+object SparqlEngine {
+  private val instances = new AtomicLong
 }

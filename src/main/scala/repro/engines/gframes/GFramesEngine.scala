@@ -37,8 +37,8 @@ final class GFramesEngine extends SparqlEngine {
   private var gf: GraphFrameLite = _
   private var predFreq: Map[String, Long] = Map.empty
 
-  override def load(triples: DataFrame): Unit = {
-    gf = GraphFrameLite.fromTriples(triples.cache())
+  override protected def build(triples: DataFrame): Unit = {
+    gf = GraphFrameLite.fromTriples(triples)
     predFreq = triples.groupBy("p").count().collect()
       .map(r => r.getString(0) -> r.getLong(1)).toMap
   }

@@ -36,7 +36,7 @@ final class SubgraphMatch extends SparqlEngine {
 
   private var rdf: RdfGraph = _
 
-  override def load(triples: DataFrame): Unit = { rdf = RdfGraph.build(triples) }
+  override protected def build(triples: DataFrame): Unit = { rdf = RdfGraph.build(triples) }
 
   /** Connected pattern order (the engine's optimization: never introduce a
     * disconnected pattern while a connected one is available).

@@ -14,9 +14,10 @@ import repro.sparql._
   *
   *   - *encoding*: string values are dictionary-encoded to integers
   *     ("minimizes data volume and makes processing more efficient").
-  *   - *fragmentation step 1*: hash partitioning on triple **subjects** —
-  *     star-shaped (sub-)queries are then evaluated locally inside each
-  *     partition, with no shuffle.
+  *   - *fragmentation step 1*: hash partitioning on triple **subjects**,
+  *     into one partition per core (`defaultParallelism`) — star-shaped
+  *     (sub-)queries are then evaluated locally inside each partition, with
+  *     no shuffle.
   *   - *fragmentation step 2*: allocation guided by a *frequent-query
   *     workload* — for each workload query, triples needed by the non-seed
   *     fragments are **replicated** into the partitions holding the seed
@@ -29,8 +30,7 @@ import repro.sparql._
   * (base + replicated triples, zipPartitions); all other queries fall back
   * to locally-evaluated star fragments joined with shuffles.
   */
-final class Haqwa(workload: Seq[Query] = Seq.empty, numPartitions: Int = 16)
-    extends SparqlEngine {
+final class Haqwa(workload: Seq[Query] = Seq.empty) extends SparqlEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[7]",
@@ -66,10 +66,10 @@ final class Haqwa(workload: Seq[Query] = Seq.empty, numPartitions: Int = 16)
     ps.map(tp => s"${c(tp.s)} ${c(tp.p)} ${c(tp.o)}").toVector
   }
 
-  override def load(triples: DataFrame): Unit = {
+  override protected def build(triples: DataFrame): Unit = {
     spark = triples.sparkSession
     dict = Dictionary.encode(triples)
-    partitioner = new HashPartitioner(numPartitions)
+    partitioner = new HashPartitioner(spark.sparkContext.defaultParallelism)
     base = dict.encoded
       .map { case (s, p, o) => (s, (p, o)) }
       .partitionBy(partitioner)

@@ -56,9 +56,9 @@ final class HybridJoin(
   private var spark: SparkSession = _
   private var triples: DataFrame = _
   private var stats: Stats = _
-  private val viewName = "hybrid_triples"
+  private val viewName = uniqueView("hybrid_triples")
 
-  override def load(df: DataFrame): Unit = {
+  override protected def build(df: DataFrame): Unit = {
     spark = df.sparkSession
     triples = df.repartition(col("s")).cache()
     triples.createOrReplaceTempView(viewName)

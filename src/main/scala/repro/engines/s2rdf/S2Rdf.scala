@@ -41,7 +41,7 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
 
   private var spark: SparkSession = _
   private var triples: DataFrame = _
-  private val triplesView = "s2rdf_triples"
+  private val triplesView = uniqueView("s2rdf_triples")
   private var vpSizes: Map[String, Long] = Map.empty
   /** (corr, p1, p2) → |ExtVP_corr(p1|p2)| for all predicate pairs. */
   private var extSizes: Map[(String, String, String), Long] = Map.empty
@@ -49,9 +49,9 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
 
   private def sanitize(p: String): String = p.map(c => if (c.isLetterOrDigit) c else '_')
 
-  override def load(df: DataFrame): Unit = {
+  override protected def build(df: DataFrame): Unit = {
     spark = df.sparkSession
-    triples = df.cache()
+    triples = df
     triples.createOrReplaceTempView(triplesView)
     vpSizes = triples.groupBy("p").count().collect()
       .map(r => r.getString(0) -> r.getLong(1)).toMap
@@ -73,12 +73,12 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
       sizes("s", obj).map { case ((a, b), n) => ("SO", a, b) -> n }
   }
 
-  private def vpView(p: String): String = s"vp_${sanitize(p)}"
+  private def vpView(p: String): String = uniqueView(s"vp_${sanitize(p)}")
 
   /** Lazily materialize ExtVP_corr(p1|p2) as a temp view; memoized. */
   private def extView(corr: String, p1: String, p2: String): String =
     materialized.getOrElseUpdate((corr, p1, p2), {
-      val name = s"extvp_${corr.toLowerCase}_${sanitize(p1)}__${sanitize(p2)}"
+      val name = uniqueView(s"extvp_${corr.toLowerCase}_${sanitize(p1)}__${sanitize(p2)}")
       val left = triples.where(col("p") === p1).select("s", "o")
       val right = triples.where(col("p") === p2)
       val reduced = corr match {

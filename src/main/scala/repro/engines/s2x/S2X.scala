@@ -44,7 +44,7 @@ final class S2X(maxIterations: Int = 30) extends SparqlEngine {
 
   private var rdf: RdfGraph = _
 
-  override def load(triples: DataFrame): Unit = { rdf = RdfGraph.build(triples) }
+  override protected def build(triples: DataFrame): Unit = { rdf = RdfGraph.build(triples) }
 
   /** Candidate validation (when it can prune) + final assembly for one BGP. */
   private def matchBgp(tps: Vector[TriplePattern]): RDD[Binding] = {

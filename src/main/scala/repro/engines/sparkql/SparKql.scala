@@ -45,7 +45,7 @@ final class SparKql extends SparqlEngine {
   /** Graph over object-property triples; vertex attr = (value, node props). */
   private var graph: Graph[(String, Map[String, Seq[String]]), String] = _
 
-  override def load(triples: DataFrame): Unit = {
+  override protected def build(triples: DataFrame): Unit = {
     val spark = triples.sparkSession
     import spark.implicits._
     // data property := predicate whose objects never occur as subjects

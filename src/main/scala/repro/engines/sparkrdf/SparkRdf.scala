@@ -29,9 +29,10 @@ import repro.sparql._
   *   - optimizations: each variable's class is pushed into the patterns
   *     that contain it (so `rdf:type` patterns are removed and unnecessary
   *     data is never read), and on-demand **dynamic pre-partitioning**
-  *     hash-partitions operands on the join variable before each join.
+  *     hash-partitions operands on the join variable before each join, into
+  *     one partition per core (`defaultParallelism`).
   */
-final class SparkRdf(numPartitions: Int = 16) extends SparqlEngine {
+final class SparkRdf extends SparqlEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[5]",
@@ -55,8 +56,8 @@ final class SparkRdf(numPartitions: Int = 16) extends SparqlEngine {
   private var predSizes: Map[String, Long] = Map.empty
   private var partitioner: HashPartitioner = _
 
-  override def load(triples: DataFrame): Unit = {
-    partitioner = new HashPartitioner(numPartitions)
+  override protected def build(triples: DataFrame): Unit = {
+    partitioner = new HashPartitioner(triples.sparkSession.sparkContext.defaultParallelism)
     val typeP = TypeP // local copy: closures must not capture the engine
     val raw = triples.rdd.map(r => (r.getString(0), r.getString(1), r.getString(2)))
     val typeTriples = raw.filter(_._2 == typeP)

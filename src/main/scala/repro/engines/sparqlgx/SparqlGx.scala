@@ -39,7 +39,7 @@ final class SparqlGx(reorderJoins: Boolean = true) extends SparqlEngine {
   private var allTriples: RDD[(String, String, String)] = _
   private var stats: Stats = _
 
-  override def load(triples: DataFrame): Unit = {
+  override protected def build(triples: DataFrame): Unit = {
     spark = triples.sparkSession
     allTriples = triples.rdd
       .map(r => (r.getString(0), r.getString(1), r.getString(2)))

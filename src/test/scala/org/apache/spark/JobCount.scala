@@ -1,28 +1,51 @@
 package org.apache.spark
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageCompleted, SparkListenerStageSubmitted}
 
-/** Counts the Spark jobs a block of code submits, by tagging them with a
-  * job group of their own. Listener events arrive asynchronously, so the
-  * count is read once the listener bus has drained (`waitUntilEmpty` is
+/** What a block of code made Spark do: the jobs it submitted, the stages
+  * those jobs ran (skipped stages excluded), their tasks and the shuffle
+  * bytes they wrote.
+  */
+final case class SparkWork(jobs: Int, stages: Int, tasks: Int, shuffleWriteBytes: Long)
+
+/** Counts the Spark work a block of code submits, by tagging its jobs with
+  * a job group of their own. Listener events arrive asynchronously, so the
+  * counts are read once the listener bus has drained (`waitUntilEmpty` is
   * package-private to Spark).
   */
 object JobCount {
   def apply[A](sc: SparkContext)(body: => A): (A, Int) = {
+    val (result, w) = work(sc)(body)
+    (result, w.jobs)
+  }
+
+  def work[A](sc: SparkContext)(body: => A): (A, SparkWork) = {
     val group = s"job-count-${java.util.UUID.randomUUID()}"
-    val jobs = new AtomicInteger
+    def ours(props: java.util.Properties) =
+      Option(props).exists(_.getProperty(SparkContext.SPARK_JOB_GROUP_ID) == group)
+    val jobs, stages, tasks = new AtomicInteger
+    val shuffleWrite = new AtomicLong
+    val submitted = ConcurrentHashMap.newKeySet[Int]()
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty(SparkContext.SPARK_JOB_GROUP_ID) == group))
-          jobs.incrementAndGet()
+        if (ours(e.properties)) jobs.incrementAndGet()
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        if (ours(e.properties)) submitted.add(e.stageInfo.stageId)
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
+        if (submitted.contains(e.stageInfo.stageId)) {
+          stages.incrementAndGet()
+          tasks.addAndGet(e.stageInfo.numTasks)
+          shuffleWrite.addAndGet(e.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten)
+        }
     }
     sc.addSparkListener(listener)
     try {
       sc.setJobGroup(group, group)
       val result = try body finally sc.clearJobGroup()
       sc.listenerBus.waitUntilEmpty()
-      (result, jobs.get)
+      (result, SparkWork(jobs.get, stages.get, tasks.get, shuffleWrite.get))
     } finally sc.removeSparkListener(listener)
   }
 }

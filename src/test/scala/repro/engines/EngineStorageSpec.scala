@@ -1,0 +1,62 @@
+package repro.engines
+
+import org.apache.spark.sql.DataFrame
+import repro.{Oracle, SparkSpec}
+import repro.core.SparqlEngine
+import repro.engines.hybrid.HybridJoin
+import repro.harness.Battery
+import repro.rdf.RdfSynth
+import repro.sparql.ReferenceSql
+
+/** `load()` leaves every engine with storage of its own: answers never
+  * depend on the caller's DataFrame after `load()`, nor on another engine
+  * instance loaded in the same session.
+  */
+class EngineStorageSpec extends SparkSpec {
+
+  /** Every engine of the registry, plus HybridJoin's Spark SQL strategy,
+    * the one that reads its triples through a temp view.
+    */
+  private val engines: Seq[(String, () => SparqlEngine)] = {
+    val registry = Engines.withReference().indices.map(i => () => Engines.withReference()(i))
+    registry.map(mk => mk().info.name -> mk) :+
+      ("Hybrid join study [spark-sql]" -> (() => new HybridJoin(HybridJoin.SparkSql)))
+  }
+
+  private val queries = Seq("star-3", "order-desc-offset", "optional-likes")
+    .map(n => Battery.all.find(_.name == n).get)
+
+  /** The triples as a local relation: the oracle's copy reads no Spark source. */
+  private def local(df: DataFrame): DataFrame =
+    spark.createDataFrame(java.util.Arrays.asList(df.collect(): _*), df.schema)
+
+  private lazy val own = local(RdfSynth.social(spark, sf = 0.005))
+  private lazy val other = local(RdfSynth.social(spark, sf = 0.002, seed = 12))
+
+  private def assertAnswers(e: SparqlEngine, triples: DataFrame): Unit =
+    for (q <- queries if e.supports(q.query))
+      Oracle.assertEquivalent(e.execute(q.query), ReferenceSql.toSql(q.query), "triples" -> triples)
+
+  for ((name, mk) <- engines) {
+    test(s"$name answers from its own copy after the caller unpersists its input") {
+      val evaluations = spark.sparkContext.longAccumulator("source evaluations")
+      val counted = spark.createDataFrame(own.rdd.map { r => evaluations.add(1); r }, own.schema).cache()
+      counted.count()
+      val e = mk()
+      e.load(counted)
+      evaluations.reset()
+      counted.unpersist(blocking = true)
+      assertAnswers(e, own)
+      assert(evaluations.value == 0L, "queries re-evaluated the caller's DataFrame")
+    }
+
+    test(s"$name keeps answering from its own data when a second instance loads other data") {
+      val first = mk()
+      first.load(own)
+      val second = mk()
+      second.load(other)
+      assertAnswers(first, own)
+      assertAnswers(second, other)
+    }
+  }
+}

@@ -1,5 +1,6 @@
 package repro.engines
 
+import org.apache.spark.JobCount
 import repro.Oracle
 import repro.engines.haqwa.Haqwa
 import repro.harness.Battery
@@ -29,9 +30,13 @@ class HaqwaSpec extends EngineContract("HAQWA", () => new Haqwa(Engines.defaultW
   test("star queries never shuffle bindings (single stage per fragment)") {
     val q = Battery.bgp.find(_.name == "star-3").get.query
     // correctness is the oracle's job; here we check the plan shape: a star
-    // evaluates within mapPartitions, so the result RDD has the same number
-    // of partitions as the base data
+    // evaluates within mapPartitions over the subject-hashed base, so its
+    // action is one stage with one task per base partition and no shuffle
     val df = engine.execute(q)
-    assert(df.count() > 0)
+    val (rows, work) = JobCount.work(spark.sparkContext)(df.collect())
+    assert(rows.nonEmpty)
+    assert(work.stages == 1, work)
+    assert(work.shuffleWriteBytes == 0L, work)
+    assert(work.tasks == spark.sparkContext.defaultParallelism, work)
   }
 }
