@@ -45,13 +45,16 @@ object Bindings {
   def join(l: RDD[Binding], lVars: Set[String], r: RDD[Binding], rVars: Set[String]): RDD[Binding] =
     joinOn(l, r, (lVars intersect rVars).toSeq.sorted)
 
-  /** SPARQL OPTIONAL: keep every left binding, extend where the right side
-    * matches on the shared variables.
+  /** OPTIONAL: keep every left binding, extend where the right side
+    * matches on the shared variables. As in SQL, an unbound key never
+    * joins: a left binding that an earlier OPTIONAL left without a key
+    * variable is kept unextended. The right side is a BGP's solutions, so
+    * it binds every key.
     */
   def leftJoin(l: RDD[Binding], r: RDD[Binding], keys: Seq[String]): RDD[Binding] = {
     require(keys.nonEmpty, "OPTIONAL without shared variables is unsupported")
-    l.keyBy(b => keys.map(b))
-      .leftOuterJoin(r.keyBy(b => keys.map(b)))
+    l.keyBy(b => keys.map(b.get))
+      .leftOuterJoin(r.keyBy(b => keys.map(b.get)))
       .map {
         case (_, (a, Some(b))) => a ++ b
         case (_, (a, None))    => a

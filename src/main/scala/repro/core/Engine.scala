@@ -5,7 +5,7 @@ import org.apache.spark.sql.DataFrame
 import repro.sparql.Query
 
 /** Metadata each engine self-reports; Tables I and II of the paper are
-  * regenerated from these values (see `repro.bench.PaperTables`).
+  * regenerated from these values (see `repro.harness.PaperTables`).
   */
 final case class EngineInfo(
     citation: String,            // e.g. "[7]"

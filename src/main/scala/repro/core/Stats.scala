@@ -31,31 +31,33 @@ final case class Stats(
   }
 
   /** Reorder patterns by ascending estimated cardinality, keeping the plan
-    * connected: after the first pattern, always pick the cheapest pattern
-    * sharing a variable with what has been placed (avoid cartesians).
+    * connected (see [[Stats.greedyOrder]]).
     */
-  def reorder(patterns: Seq[TriplePattern]): Seq[TriplePattern] = {
-    if (patterns.sizeIs <= 1) return patterns
+  def reorder(patterns: Seq[TriplePattern]): Seq[TriplePattern] =
+    Stats.greedyOrder(patterns)(estimate)
+}
+
+object Stats {
+
+  /** Greedy connected join order: the cheapest pattern first, then always
+    * the cheapest pattern sharing a variable with those placed, so no
+    * cartesian product is introduced while a connected pattern is left.
+    * Ties keep the input order.
+    */
+  def greedyOrder(patterns: Seq[TriplePattern])(cost: TriplePattern => Double): Seq[TriplePattern] = {
     val remaining = scala.collection.mutable.ArrayBuffer(patterns: _*)
-    val ordered = scala.collection.mutable.ArrayBuffer.empty[TriplePattern]
+    val ordered = Vector.newBuilder[TriplePattern]
     var bound = Set.empty[String]
     while (remaining.nonEmpty) {
-      val candidates =
-        if (ordered.isEmpty) remaining.toSeq
-        else {
-          val connected = remaining.filter(_.varSet.intersect(bound).nonEmpty)
-          if (connected.nonEmpty) connected.toSeq else remaining.toSeq
-        }
-      val next = candidates.minBy(estimate)
+      val connected = remaining.filter(_.varSet.intersect(bound).nonEmpty)
+      val next = (if (connected.nonEmpty) connected else remaining).minBy(cost)
       ordered += next
       bound ++= next.varSet
       remaining -= next
     }
-    ordered.toSeq
+    ordered.result()
   }
-}
 
-object Stats {
   /** One pass over the data (4 aggregate jobs) — matches SPARQLGX's
     * preprocessing step.
     */

@@ -1,48 +1,30 @@
 package repro.engines.graph
 
-import org.apache.spark.graphx.{Edge, Graph, VertexId}
+import org.apache.spark.graphx.{Edge, Graph}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
+import repro.rdf.Dictionary
 
 /** RDF data "represented as a directed labeled graph in which the triple
   * (s hasProperty p) is an edge labeled hasProperty from node s to node p"
   * — the paper's Graph Model, materialized as a GraphX property graph:
   * vertex attribute = the subject/object URI or literal, edge attribute =
-  * the predicate. Shared by the three GraphX engines.
+  * the predicate. Shared by S2X and SubgraphMatch.
   */
-final case class RdfGraph(
-    graph: Graph[String, String],
-    idOf: Map[String, VertexId],
-) {
-  def valueOf(id: VertexId): String = values(id)
-  lazy val values: Map[VertexId, String] = idOf.map(_.swap)
-}
-
 object RdfGraph {
 
-  /** Vertex ids are assigned deterministically by sorted value. The
-    * value↔id maps live on the driver (broadcast where needed) — fine at
-    * the survey's data scales here; a cluster deployment would keep them
-    * distributed.
-    */
-  def build(triples: DataFrame): RdfGraph = {
-    val spark = triples.sparkSession
-    import spark.implicits._
-    val values = triples.select($"s").union(triples.select($"o"))
-      .distinct().as[String].rdd
-      .sortBy(identity)
-      .zipWithIndex()
-      .collectAsMap().toMap
-    val bc = spark.sparkContext.broadcast(values)
-    val vertices = spark.sparkContext
-      .parallelize(values.toSeq.map { case (v, id) => (id, v) })
+  /** Vertex ids come from the [[Dictionary]] of subject and object values. */
+  def build(triples: DataFrame): Graph[String, String] = {
+    val sc = triples.sparkSession.sparkContext
+    val idOf = Dictionary.ids(triples.select("s").union(triples.select("o")))
+    val bc = sc.broadcast(idOf)
+    val vertices = sc.parallelize(idOf.toSeq.map(_.swap))
     val edges = triples.rdd.map { r =>
       val ids = bc.value
       Edge(ids(r.getString(0)), ids(r.getString(2)), r.getString(1))
     }
-    val graph = Graph(vertices, edges, defaultVertexAttr = null.asInstanceOf[String],
+    Graph(vertices, edges, defaultVertexAttr = null.asInstanceOf[String],
       edgeStorageLevel = StorageLevel.MEMORY_AND_DISK,
       vertexStorageLevel = StorageLevel.MEMORY_AND_DISK)
-    RdfGraph(graph, values)
   }
 }

@@ -1,5 +1,6 @@
 package repro.engines.graphxsgm
 
+import org.apache.spark.graphx.{Graph, VertexId}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import repro.core._
@@ -21,7 +22,7 @@ import repro.sparql._
   *   - after all BGP triples are evaluated, the **final MT tables of the
   *     end vertices are joined** to produce the query answer.
   */
-final class SubgraphMatch extends SparqlEngine {
+final class SubgraphMatch extends BindingEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[16]",
@@ -34,38 +35,23 @@ final class SubgraphMatch extends SparqlEngine {
     sparqlFragment = "BGP",
   )
 
-  private var rdf: RdfGraph = _
+  private var graph: Graph[String, String] = _
 
-  override protected def build(triples: DataFrame): Unit = { rdf = RdfGraph.build(triples) }
+  override protected def build(triples: DataFrame): Unit = { graph = RdfGraph.build(triples) }
 
-  /** Connected pattern order (the engine's optimization: never introduce a
-    * disconnected pattern while a connected one is available).
+  /** The engine's optimization: a connected pattern order, never a
+    * disconnected pattern while a connected one is available; otherwise
+    * the input order.
     */
-  private def connectedOrder(ps: Vector[TriplePattern]): Vector[TriplePattern] = {
-    val remaining = scala.collection.mutable.ArrayBuffer(ps: _*)
-    val out = Vector.newBuilder[TriplePattern]
-    var bound = Set.empty[String]
-    while (remaining.nonEmpty) {
-      val next = remaining
-        .find(tp => bound.isEmpty || tp.varSet.intersect(bound).nonEmpty)
-        .getOrElse(remaining.head)
-      out += next
-      bound ++= next.varSet
-      remaining -= next
-    }
-    out.result()
-  }
-
-  override def execute(q: Query): DataFrame = {
-    require(supports(q), s"${info.name} supports plain BGP only")
-    val tps = connectedOrder(q.groups.head.patterns)
+  override protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] = {
+    val tps = Stats.greedyOrder(ps)(tp => ps.indexOf(tp).toDouble)
 
     // one aggregateMessages round per BGP triple: sendMsg matches the
     // pattern against every graph triple and ships the binding to the
     // subject vertex; mergeMsg concatenates
-    val mtPerTp: Seq[RDD[(org.apache.spark.graphx.VertexId, Seq[Binding])]] =
+    val mtPerTp: Seq[RDD[(VertexId, Seq[Binding])]] =
       tps.map { tp =>
-        rdf.graph.aggregateMessages[Seq[Binding]](
+        graph.aggregateMessages[Seq[Binding]](
           ctx =>
             Bindings.bindTriple(tp, ctx.srcAttr, ctx.attr, ctx.dstAttr)
               .foreach(b => ctx.sendToSrc(Seq(b))),
@@ -87,8 +73,6 @@ final class SubgraphMatch extends SparqlEngine {
       }
 
     // "join the final MT tables of the end vertices" for the answer
-    val result = Bindings.joinAll(groupTables)
-    val session = org.apache.spark.sql.SparkSession.active
-    Results.applyModifiers(Results.toDf(session, result, q.resultVars), q)
+    Bindings.joinAll(groupTables)
   }
 }

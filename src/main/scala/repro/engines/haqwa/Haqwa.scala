@@ -26,11 +26,13 @@ import repro.sparql._
   *     (star fragments); a seed fragment anchors evaluation; SPARQL maps
   *     onto the RDD API (join / filter / count).
   *
-  * Queries canonically equal to a workload query run fully partition-local
-  * (base + replicated triples, zipPartitions); all other queries fall back
-  * to locally-evaluated star fragments joined with shuffles.
+  * A BGP (a query's, or an OPTIONAL's) canonically equal to a workload
+  * query runs fully partition-local (base + replicated triples,
+  * zipPartitions); every other BGP falls back to locally-evaluated star
+  * fragments joined with shuffles. FILTER, OPTIONAL and UNION are the
+  * shared driver's ([[repro.core.BindingEngine]]).
   */
-final class Haqwa(workload: Seq[Query] = Seq.empty) extends SparqlEngine {
+final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[7]",
@@ -130,7 +132,7 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends SparqlEngine {
   }
 
   private def decode(rdd: RDD[Map[String, Long]]): RDD[Binding] = {
-    val values = spark.sparkContext.broadcast(dict.valueOf)
+    val values = dict.values // local: the closure must not capture the engine
     rdd.map(_.map { case (k, id) => k -> values.value(id) })
   }
 
@@ -176,32 +178,9 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends SparqlEngine {
     }
   }
 
-  private def evalGroup(g: BasicGroup): RDD[Binding] = {
-    val isWorkload = g.filters.isEmpty && g.optionals.isEmpty &&
-      workloadShapes.contains(canonical(g.patterns))
-    var acc: RDD[Binding] =
-      if (isWorkload) evalWorkloadLocally(g.patterns)
-      else {
-        val frags = fragments(g.patterns)
-        val parts = frags.map(f => (evalFragmentLocally(f), f.flatMap(_.vars).toSet))
-        Bindings.joinAll(parts)
-      }
-    acc = Bindings.applyFilters(acc, g.filters)
-    var accVars = g.requiredVars.toSet
-    for (opt <- g.optionals) {
-      val optFrags = fragments(opt)
-      val optRdd = Bindings.joinAll(optFrags.map(f => (evalFragmentLocally(f), f.flatMap(_.vars).toSet)))
-      val optVars = opt.flatMap(_.vars).toSet
-      acc = Bindings.leftJoin(acc, optRdd, (accVars intersect optVars).toSeq.sorted)
-      accVars ++= optVars
-    }
-    acc
-  }
-
-  override def execute(q: Query): DataFrame = {
-    val union = q.groups.map(evalGroup).reduce(_ union _)
-    Results.applyModifiers(Results.toDf(spark, union, q.resultVars), q)
-  }
+  override protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] =
+    if (workloadShapes.contains(canonical(ps))) evalWorkloadLocally(ps)
+    else Bindings.joinAll(fragments(ps).map(f => (evalFragmentLocally(f), f.flatMap(_.vars).toSet)))
 }
 
 /** Executor-side helpers: kept on the companion so Spark closures never

@@ -42,6 +42,8 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
   private var spark: SparkSession = _
   private var triples: DataFrame = _
   private val triplesView = uniqueView("s2rdf_triples")
+  /** The (s, o) table of a predicate with no triples. */
+  private val emptyVpView = uniqueView("vp_empty")
   private var vpSizes: Map[String, Long] = Map.empty
   /** (corr, p1, p2) → |ExtVP_corr(p1|p2)| for all predicate pairs. */
   private var extSizes: Map[(String, String, String), Long] = Map.empty
@@ -55,6 +57,7 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
     triples.createOrReplaceTempView(triplesView)
     vpSizes = triples.groupBy("p").count().collect()
       .map(r => r.getString(0) -> r.getLong(1)).toMap
+    triples.select("s", "o").limit(0).createOrReplaceTempView(emptyVpView)
     vpSizes.keys.foreach { p =>
       triples.where(col("p") === p).select("s", "o")
         .createOrReplaceTempView(vpView(p))
@@ -101,8 +104,9 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
     } yield n
 
   /** Choose the table for one pattern given its group: the smallest
-    * applicable ExtVP reduction, else the VP table, else raw triples when
-    * the predicate is a variable. Returns (view, size, hasPredicateColumn).
+    * applicable ExtVP reduction, else the VP table (an empty one for a
+    * predicate absent from the data), else raw triples when the predicate
+    * is a variable. Returns (view, size, hasPredicateColumn).
     */
   private def tableFor(tp: TriplePattern, group: Seq[TriplePattern]): (String, Long, Boolean) =
     tp.predConst match {
@@ -119,8 +123,9 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
           n <- extSizeIfUseful(corr, p1, p2).toSeq
         } yield (corr, p2, n)
         candidates.sortBy(_._3).headOption match {
-          case Some((corr, p2, n)) => (extView(corr, p1, p2), n, false)
-          case None                => (vpView(p1), vpSizes.getOrElse(p1, 0L), false)
+          case Some((corr, p2, n))          => (extView(corr, p1, p2), n, false)
+          case None if vpSizes.contains(p1) => (vpView(p1), vpSizes(p1), false)
+          case None                         => (emptyVpView, 0L, false)
         }
     }
 

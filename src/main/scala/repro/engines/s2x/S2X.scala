@@ -27,7 +27,7 @@ import repro.sparql._
   * assembled straight from the graph's triplets. Every other BGP validates
   * at one Spark job per superstep, all inside `execute()`.
   */
-final class S2X(maxIterations: Int = 30) extends SparqlEngine {
+final class S2X(maxIterations: Int = 30) extends BindingEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[23]",
@@ -42,17 +42,17 @@ final class S2X(maxIterations: Int = 30) extends SparqlEngine {
 
   import S2X._
 
-  private var rdf: RdfGraph = _
+  private var graph: Graph[String, String] = _
 
-  override protected def build(triples: DataFrame): Unit = { rdf = RdfGraph.build(triples) }
+  override protected def build(triples: DataFrame): Unit = { graph = RdfGraph.build(triples) }
 
   /** Candidate validation (when it can prune) + final assembly for one BGP. */
-  private def matchBgp(tps: Vector[TriplePattern]): RDD[Binding] = {
+  override protected def matchBgp(tps: Vector[TriplePattern]): RDD[Binding] = {
     val positions = Positions(tps)
     val parts =
       if (!positions.prunable)
         tps.map { tp =>
-          (rdf.graph.triplets.flatMap(t => Bindings.bindTriple(tp, t.srcAttr, t.attr, t.dstAttr)), tp.varSet)
+          (graph.triplets.flatMap(t => Bindings.bindTriple(tp, t.srcAttr, t.attr, t.dstAttr)), tp.varSet)
         }
       else {
         // assembly: per pattern, the surviving edge matches, joined data-parallel
@@ -77,8 +77,8 @@ final class S2X(maxIterations: Int = 30) extends SparqlEngine {
     * after it has been computed from it.
     */
   private def validate(positions: Positions): Graph[Cand, String] = {
-    val initial = rdf.graph.aggregateMessages[Set[Pos]](positions.sendInitial, _ ++ _)
-    var g = rdf.graph.outerJoinVertices(initial) { (_, value, c) =>
+    val initial = graph.aggregateMessages[Set[Pos]](positions.sendInitial, _ ++ _)
+    var g = graph.outerJoinVertices(initial) { (_, value, c) =>
       Cand(value, positions.consistent(c.getOrElse(Set.empty)), changed = false)
     }.cache()
     // the first aggregateMessages over a new graph swaps its cached edges
@@ -102,24 +102,6 @@ final class S2X(maxIterations: Int = 30) extends SparqlEngine {
       iter += 1
     }
     g
-  }
-
-  private def evalGroup(g: BasicGroup): RDD[Binding] = {
-    var acc = Bindings.applyFilters(matchBgp(g.patterns), g.filters)
-    var accVars = g.requiredVars.toSet
-    for (opt <- g.optionals) {
-      val optRdd = matchBgp(opt)
-      val optVars = opt.flatMap(_.vars).toSet
-      acc = Bindings.leftJoin(acc, optRdd, (accVars intersect optVars).toSeq.sorted)
-      accVars ++= optVars
-    }
-    acc
-  }
-
-  override def execute(q: Query): DataFrame = {
-    val union = q.groups.map(evalGroup).reduce(_ union _)
-    val session = org.apache.spark.sql.SparkSession.active
-    Results.applyModifiers(Results.toDf(session, union, q.resultVars), q)
   }
 }
 

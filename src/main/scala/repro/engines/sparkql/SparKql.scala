@@ -6,6 +6,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
 import repro.core._
 import repro.core.Bindings.Binding
+import repro.rdf.Dictionary
 import repro.sparql._
 
 /** Spar(k)ql [12] (Gombos, Rácz, Kiss, FiCloud WS 2016): SPARQL evaluation
@@ -27,7 +28,7 @@ import repro.sparql._
   * Consequently only tree-shaped BGPs with constant predicates are
   * supported (fragment "BGP" in Table II).
   */
-final class SparKql extends SparqlEngine {
+final class SparKql extends BindingEngine {
   import SparKql.extend
 
   val info: EngineInfo = EngineInfo(
@@ -64,8 +65,7 @@ final class SparKql extends SparqlEngine {
       .groupByKey()
       .mapValues(_.toSeq.groupMap(_._1)(_._2))
 
-    val values = triples.select($"s").union(objTriples.select($"o"))
-      .distinct().as[String].rdd.sortBy(identity).zipWithIndex().collectAsMap().toMap
+    val values = Dictionary.ids(triples.select($"s").union(objTriples.select($"o")))
     val bc = spark.sparkContext.broadcast(values)
     val vertices = spark.sparkContext
       .parallelize(values.toSeq.map { case (v, id) => (id, v) })
@@ -84,9 +84,7 @@ final class SparKql extends SparqlEngine {
   // ---- query plan (BFS tree over object-property patterns) -----------------
   import SparKql.{Plan, TreeNode}
 
-  private def plan(q: Query): Option[Plan] = {
-    if (!q.isPlainBgp) return None
-    val ps = q.groups.head.patterns
+  private def plan(ps: Seq[TriplePattern]): Option[Plan] = {
     if (ps.exists(_.p.isVar) || dataProps == null) return None
     val (dataTps, objTps) = ps.partition(tp => dataProps.contains(tp.predConst.get))
     val dataByTerm = dataTps.groupBy(_.s: Term)
@@ -125,7 +123,7 @@ final class SparKql extends SparqlEngine {
     Some(Plan(tree, dataByTerm))
   }
 
-  override def supports(q: Query): Boolean = plan(q).isDefined
+  override def supports(q: Query): Boolean = q.isPlainBgp && plan(q.groups.head.patterns).isDefined
 
   // ---- bottom-up evaluation ------------------------------------------------
 
@@ -192,12 +190,9 @@ final class SparKql extends SparqlEngine {
     table
   }
 
-  override def execute(q: Query): DataFrame = {
-    val p = plan(q).getOrElse(
-      throw new IllegalArgumentException(s"${info.name} supports tree-shaped BGPs only"))
-    val result = evalNode(p.root, p.dataByTerm).flatMap(_._2)
-    val session = org.apache.spark.sql.SparkSession.active
-    Results.applyModifiers(Results.toDf(session, result, q.resultVars), q)
+  override protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] = {
+    val p = plan(ps).get // supports() admits tree-shaped BGPs only
+    evalNode(p.root, p.dataByTerm).flatMap(_._2)
   }
 }
 

@@ -32,7 +32,7 @@ import repro.sparql._
   *     hash-partitions operands on the join variable before each join, into
   *     one partition per core (`defaultParallelism`).
   */
-final class SparkRdf extends SparqlEngine {
+final class SparkRdf extends BindingEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[5]",
@@ -131,9 +131,8 @@ final class SparkRdf extends SparqlEngine {
     }
   }
 
-  override def execute(q: Query): DataFrame = {
-    require(supports(q), s"${info.name} supports plain BGP only")
-    val (constraints, tps) = classConstraints(q.groups.head.patterns)
+  override protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] = {
+    val (constraints, tps) = classConstraints(ps)
 
     def est(tp: TriplePattern): Long = tp.predConst
       .map(p => predSizes.getOrElse(p, 0L))
@@ -172,8 +171,6 @@ final class SparkRdf extends SparqlEngine {
       acc = Some(acc.fold(rdsg)(_.join(rdsg)))
     }
 
-    val session = org.apache.spark.sql.SparkSession.active
-    val result = acc.map(_.bindings).getOrElse(session.sparkContext.emptyRDD[Binding])
-    Results.applyModifiers(Results.toDf(session, result, q.resultVars), q)
+    acc.map(_.bindings).getOrElse(classIndex.sparkContext.emptyRDD[Binding])
   }
 }

@@ -21,7 +21,7 @@ import repro.sparql._
   *     predicates, objects) reorder the join sequence.
   *   - fragment: BGP plus DISTINCT, SORT, UNION, OPTIONAL, FILTER (BGP+).
   */
-final class SparqlGx(reorderJoins: Boolean = true) extends SparqlEngine {
+final class SparqlGx(reorderJoins: Boolean = true) extends BindingEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[13]",
@@ -69,27 +69,8 @@ final class SparqlGx(reorderJoins: Boolean = true) extends SparqlEngine {
     case None => Bindings.matchPattern(allTriples, tp)
   }
 
-  private def evalGroup(g: BasicGroup): (RDD[Binding], Set[String]) = {
-    val ordered = if (reorderJoins) stats.reorder(g.patterns) else g.patterns
-    val parts = ordered.map(tp => (matchOne(tp), tp.varSet))
-    var acc = Bindings.joinAll(parts)
-    var accVars = g.requiredVars.toSet
-    acc = Bindings.applyFilters(acc, g.filters)
-    for (opt <- g.optionals) {
-      val optParts = (if (reorderJoins) stats.reorder(opt) else opt)
-        .map(tp => (matchOne(tp), tp.varSet))
-      val optRdd = Bindings.joinAll(optParts)
-      val optVars = opt.flatMap(_.vars).toSet
-      acc = Bindings.leftJoin(acc, optRdd, (accVars intersect optVars).toSeq.sorted)
-      accVars ++= optVars
-    }
-    (acc, accVars)
-  }
-
-  override def execute(q: Query): DataFrame = {
-    val perGroup = q.groups.map(evalGroup)
-    val union = perGroup.map(_._1).reduce(_ union _)
-    val df = Results.toDf(spark, union, q.resultVars)
-    Results.applyModifiers(df, q)
+  override protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] = {
+    val ordered = if (reorderJoins) stats.reorder(ps) else ps
+    Bindings.joinAll(ordered.map(tp => (matchOne(tp), tp.varSet)))
   }
 }

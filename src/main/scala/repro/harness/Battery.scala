@@ -36,6 +36,7 @@ object Battery {
     Q("cross-product", "SELECT ?n ?cat WHERE { ?c cityName ?n . ?x category ?cat }"),
     Q("self-loop-empty", "SELECT ?x WHERE { ?x follows ?x }"),
     Q("missing-const-empty", "SELECT ?n WHERE { p999999999 name ?n }"),
+    Q("missing-predicate-empty", "SELECT ?x ?y WHERE { ?x nosuchpredicate ?y }"),
   )
 
   /** Queries needing BGP+ features (Table II's FILTER / AVG-style extras). */
@@ -58,6 +59,10 @@ object Battery {
     Q("optional-likes", "SELECT ?p ?n ?pr WHERE { ?p name ?n OPTIONAL { ?p likes ?pr } }"),
     Q("optional-after-filter",
       "SELECT ?p ?a ?pr WHERE { ?p age ?a . FILTER(?a < 25) OPTIONAL { ?p likes ?pr } }"),
+    // the second OPTIONAL keys on ?pr, which the first leaves unbound for
+    // persons who like nothing: as in SQL, an unbound key never joins
+    Q("optional-chain",
+      "SELECT ?p ?n ?pr ?l WHERE { ?p name ?n OPTIONAL { ?p likes ?pr } OPTIONAL { ?p age ?a . ?pr label ?l } }"),
   )
 
   val all: Vector[Q] = bgp ++ bgpPlus

@@ -1,8 +1,8 @@
 package repro.rdf
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.DataFrame
 
 /** String → integer dictionary encoding of an RDF dataset.
   *
@@ -13,46 +13,37 @@ import org.apache.spark.sql.types._
   * The dictionary covers every distinct value appearing in s, p or o.
   */
 final case class Dictionary(
-    dict: DataFrame,                        // columns: id (long), value (string)
+    idOf: Map[String, Long],                // value → id, on the driver (for encoding constants)
     encoded: RDD[(Long, Long, Long)],       // (sId, pId, oId)
+    values: Broadcast[Map[Long, String]],   // id → value, broadcast once (for decoding results)
 ) {
-  /** value → id map, materialized on the driver (for encoding constants). */
-  lazy val idOf: Map[String, Long] =
-    dict.collect().map(r => r.getString(1) -> r.getLong(0)).toMap
-  /** id → value map (for decoding results). */
-  lazy val valueOf: Map[Long, String] = idOf.map(_.swap)
+  def valueOf: Map[Long, String] = values.value
 
   def encodeConst(v: String): Option[Long] = idOf.get(v)
 }
 
 object Dictionary {
 
+  /** Ids 0, 1, … for the distinct strings of a one-column DataFrame,
+    * assigned by sorted value order, so deterministic. The map lives on the
+    * driver (broadcast where executors need it) — fine at the survey's data
+    * scales here; a cluster deployment would keep it distributed.
+    */
+  def ids(values: DataFrame): Map[String, Long] =
+    values.distinct().collect().map(_.getString(0)).sorted
+      .zipWithIndex.map { case (v, i) => v -> i.toLong }.toMap
+
   /** Builds the dictionary and the encoded triples from a triples DataFrame
-    * with string columns s, p, o. Deterministic: ids assigned by sorted
-    * value order.
+    * with string columns s, p, o.
     */
   def encode(triples: DataFrame): Dictionary = {
-    val spark = triples.sparkSession
-    import spark.implicits._
-    val values = triples
-      .select($"s" as "value")
-      .union(triples.select($"p" as "value"))
-      .union(triples.select($"o" as "value"))
-      .distinct()
-      .orderBy("value")
-    val dictRdd = values.rdd.map(_.getString(0)).zipWithIndex()
-    val dictDf = spark.createDataFrame(
-      dictRdd.map { case (v, id) => Row(id, v) },
-      StructType(Seq(StructField("id", LongType), StructField("value", StringType))),
-    ).cache()
-
-    val idMap = dictDf.rdd.map(r => (r.getString(1), r.getLong(0)))
-    val sEnc = triples.rdd
-      .map(r => (r.getString(0), (r.getString(1), r.getString(2))))
-      .join(idMap)
-      .map { case (_, ((p, o), sId)) => (p, (sId, o)) }
-    val pEnc = sEnc.join(idMap).map { case (_, ((sId, o), pId)) => (o, (sId, pId)) }
-    val enc = pEnc.join(idMap).map { case (_, ((sId, pId), oId)) => (sId, pId, oId) }
-    Dictionary(dictDf, enc)
+    val sc = triples.sparkSession.sparkContext
+    val idOf = ids(triples.select("s").union(triples.select("p")).union(triples.select("o")))
+    val bc = sc.broadcast(idOf)
+    val encoded = triples.rdd.map { r =>
+      val id = bc.value
+      (id(r.getString(0)), id(r.getString(1)), id(r.getString(2)))
+    }
+    Dictionary(idOf, encoded, sc.broadcast(idOf.map(_.swap)))
   }
 }

@@ -65,6 +65,14 @@ class BindingsSpec extends SparkSpec {
     assert(out == Set(Map("x" -> "1", "y" -> "a"), Map("x" -> "2")))
   }
 
+  test("leftJoin keeps a left row whose key variable is unbound, unextended") {
+    // ?y was left unbound by an earlier OPTIONAL: as in SQL, it never joins
+    val l = rdd(Map("x" -> "1", "y" -> "a"), Map("x" -> "2"))
+    val r = rdd(Map("x" -> "1", "y" -> "a", "z" -> "!"), Map("x" -> "2", "y" -> "b", "z" -> "?"))
+    val out = Bindings.leftJoin(l, r, Seq("x", "y")).collect().toSet
+    assert(out == Set(Map("x" -> "1", "y" -> "a", "z" -> "!"), Map("x" -> "2")))
+  }
+
   test("leftJoin without keys is rejected") {
     assertThrows[IllegalArgumentException](
       Bindings.leftJoin(rdd(Map("x" -> "1")), rdd(Map("y" -> "2")), Seq.empty))

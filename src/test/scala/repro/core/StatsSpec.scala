@@ -41,6 +41,11 @@ class StatsSpec extends SparkSpec {
     assert(ordered(1).varSet.contains("p"))
   }
 
+  test("greedyOrder with input-position cost places the first connected pattern next") {
+    val ps = Parser.parse("SELECT * WHERE { ?a p ?b . ?c q ?d . ?b r ?c }").groups.head.patterns
+    assert(Stats.greedyOrder(ps)(tp => ps.indexOf(tp).toDouble).map(_.predConst.get) == Seq("p", "r", "q"))
+  }
+
   test("reorder is a permutation") {
     val ps = Parser.parse("SELECT ?a ?b ?c WHERE { ?a follows ?b . ?b follows ?c }")
       .groups.head.patterns

@@ -48,6 +48,12 @@ class S2RdfSpec extends EngineContract("S2RDF", () => new S2Rdf(sfThreshold = 0.
     assert(!sql.contains("extvp_") && sql.contains("vp_"), sql)
   }
 
+  test("an empty dataset answers star-3 with no rows") {
+    val empty = new S2Rdf()
+    empty.load(triples.limit(0))
+    assert(empty.execute(Battery.bgp.find(_.name == "star-3").get.query).count() == 0L)
+  }
+
   test("join order puts patterns with more constants first") {
     val q = Parser.parse("SELECT ?p ?n WHERE { ?p name ?n . ?p livesIn c3 }")
     val sql = s2rdf.groupToSql(q.groups.head.patterns, Seq.empty)

@@ -23,8 +23,8 @@ class DictionarySpec extends SparkSpec {
   }
 
   test("encoded triples decode back to the original set") {
-    // decode on the driver: the Dictionary holds a DataFrame and must not
-    // be captured in an RDD closure
+    // decode on the driver, with the same id → value map the Dictionary
+    // broadcasts for decoding on executors
     val decoded = dict.encoded.collect()
       .map { case (s, p, o) => (dict.valueOf(s), dict.valueOf(p), dict.valueOf(o)) }
       .toSet
