@@ -21,6 +21,7 @@ import repro.sparql._
   *                   inputs) with partitioned joins (large-large), starting
   *                   from the most selective pattern.
   *
+  * `execute` plans with `Hybrid`; `executeWith` runs any of the four.
   * `Broadcast` and `Hybrid` take pattern cardinalities from [[Stats]]
   * gathered once by `load()`, so `execute()` runs no Spark job and caches
   * nothing.
@@ -36,10 +37,7 @@ object HybridJoin {
   val AllStrategies: Seq[Strategy] = Seq(SparkSql, Partitioned, Broadcast, Hybrid)
 }
 
-final class HybridJoin(
-    strategy: HybridJoin.Strategy = HybridJoin.Hybrid,
-    broadcastThreshold: Long = 10000L,
-) extends SparqlEngine {
+final class HybridJoin(broadcastThreshold: Long = 10000L) extends SparqlEngine {
   import HybridJoin._
 
   val info: EngineInfo = EngineInfo(
@@ -65,8 +63,9 @@ final class HybridJoin(
     stats = Stats.compute(triples)
   }
 
-  override def execute(q: Query): DataFrame = executeWith(q, strategy)
+  override def execute(q: Query): DataFrame = executeWith(q, Hybrid)
 
+  /** Answers `q` with one of the four strategies [21] compares. */
   def executeWith(q: Query, s: Strategy): DataFrame = {
     require(supports(q), s"${info.name} supports plain BGP only")
     val ps = q.groups.head.patterns

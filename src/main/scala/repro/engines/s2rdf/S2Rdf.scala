@@ -140,7 +140,7 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
       .map { case (tp, view, _, hasP) => (tp, view, hasP) }
 
   /** Compile one conjunctive group (patterns + filters) to a SQL string.
-    * Public for white-box tests and the ExtVP bench.
+    * Public for white-box tests.
     */
   def groupToSql(ps: Seq[TriplePattern], filters: Seq[FilterExpr]): String = {
     val plan = ordered(ps)
@@ -194,7 +194,9 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
     Results.applyModifiers(dfs.reduce(_ unionAll _), q)
   }
 
-  /** Exposed for the ExtVP bench: (corr,p1,p2) → (extSize, vpSize). */
+  /** (corr, p1, p2) → (|ExtVP_corr(p1|p2)|, |VP_p1|) for every predicate
+    * pair, whatever the SF threshold admits; public for white-box tests.
+    */
   def reductionStats: Map[(String, String, String), (Long, Long)] =
     extSizes.map { case ((c, p1, p2), n) => (c, p1, p2) -> (n, vpSizes.getOrElse(p1, 0L)) }
 }

@@ -159,6 +159,7 @@ object Parser {
       val varSets = q.groups.map(_.allVars.toSet)
       for (p <- q.projection)
         require(varSets.exists(_.contains(p)), s"projected ?$p not bound anywhere")
+      require(q.resultVars.nonEmpty, "the query binds no variables: there is no result column")
       if (q.groups.sizeIs > 1) {
         require(varSets.distinct.sizeIs == 1,
           "UNION branches must bind identical variable sets in this fragment")

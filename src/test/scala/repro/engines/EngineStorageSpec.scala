@@ -6,7 +6,7 @@ import repro.core.SparqlEngine
 import repro.engines.hybrid.HybridJoin
 import repro.harness.Battery
 import repro.rdf.RdfSynth
-import repro.sparql.ReferenceSql
+import repro.sparql.{Query, ReferenceSql}
 
 /** `load()` leaves every engine with storage of its own: answers never
   * depend on the caller's DataFrame after `load()`, nor on another engine
@@ -14,13 +14,17 @@ import repro.sparql.ReferenceSql
   */
 class EngineStorageSpec extends SparkSpec {
 
+  private type Answer = (SparqlEngine, Query) => DataFrame
+
   /** Every engine of the registry, plus HybridJoin's Spark SQL strategy,
     * the one that reads its triples through a temp view.
     */
-  private val engines: Seq[(String, () => SparqlEngine)] = {
+  private val engines: Seq[(String, () => SparqlEngine, Answer)] = {
     val registry = Engines.withReference().indices.map(i => () => Engines.withReference()(i))
-    registry.map(mk => mk().info.name -> mk) :+
-      ("Hybrid join study [spark-sql]" -> (() => new HybridJoin(HybridJoin.SparkSql)))
+    val execute: Answer = _.execute(_)
+    val sparkSql: Answer = (e, q) => e.asInstanceOf[HybridJoin].executeWith(q, HybridJoin.SparkSql)
+    registry.map(mk => (mk().info.name, mk, execute)) :+
+      (("Hybrid join study [spark-sql]", () => new HybridJoin(), sparkSql))
   }
 
   private val queries = Seq("star-3", "order-desc-offset", "optional-likes")
@@ -33,11 +37,11 @@ class EngineStorageSpec extends SparkSpec {
   private lazy val own = local(RdfSynth.social(spark, sf = 0.005))
   private lazy val other = local(RdfSynth.social(spark, sf = 0.002, seed = 12))
 
-  private def assertAnswers(e: SparqlEngine, triples: DataFrame): Unit =
-    for (q <- queries if e.supports(q.query))
-      Oracle.assertEquivalent(e.execute(q.query), ReferenceSql.toSql(q.query), "triples" -> triples)
+  for ((name, mk, answer) <- engines) {
+    def assertAnswers(e: SparqlEngine, triples: DataFrame): Unit =
+      for (q <- queries if e.supports(q.query))
+        Oracle.assertEquivalent(answer(e, q.query), ReferenceSql.toSql(q.query), "triples" -> triples)
 
-  for ((name, mk) <- engines) {
     test(s"$name answers from its own copy after the caller unpersists its input") {
       val evaluations = spark.sparkContext.longAccumulator("source evaluations")
       val counted = spark.createDataFrame(own.rdd.map { r => evaluations.add(1); r }, own.schema).cache()

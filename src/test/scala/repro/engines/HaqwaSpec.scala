@@ -8,6 +8,9 @@ import repro.sparql.{Parser, ReferenceSql}
 
 class HaqwaSpec extends EngineContract("HAQWA", () => new Haqwa(Engines.defaultWorkload)) {
 
+  /** The same store without a workload: no triple is replicated. */
+  private lazy val blind = { val e = new Haqwa(Seq.empty); e.load(triples); e }
+
   test("workload queries (partition-local path) match the oracle") {
     for (q <- Engines.defaultWorkload) {
       Oracle.assertEquivalent(engine.execute(q), ReferenceSql.toSql(q), "triples" -> triples)
@@ -21,22 +24,30 @@ class HaqwaSpec extends EngineContract("HAQWA", () => new Haqwa(Engines.defaultW
   }
 
   test("an engine with an empty workload still answers 2-hop queries (shuffle path)") {
-    val bare = new Haqwa(Seq.empty)
-    bare.load(triples)
     val q = Battery.bgp.find(_.name == "path-then-star").get
-    Oracle.assertEquivalent(bare.execute(q.query), ReferenceSql.toSql(q.query), "triples" -> triples)
+    Oracle.assertEquivalent(blind.execute(q.query), ReferenceSql.toSql(q.query), "triples" -> triples)
   }
 
   test("star queries never shuffle bindings (single stage per fragment)") {
-    val q = Battery.bgp.find(_.name == "star-3").get.query
     // correctness is the oracle's job; here we check the plan shape: a star
-    // evaluates within mapPartitions over the subject-hashed base, so its
-    // action is one stage with one task per base partition and no shuffle
-    val df = engine.execute(q)
-    val (rows, work) = JobCount.work(spark.sparkContext)(df.collect())
-    assert(rows.nonEmpty)
-    assert(work.stages == 1, work)
-    assert(work.shuffleWriteBytes == 0L, work)
-    assert(work.tasks == spark.sparkContext.defaultParallelism, work)
+    // evaluates within mapPartitions over the subject-hashed base, and a
+    // workload query within zipPartitions over the base and the triples
+    // replicated for it, so either action is one stage with one task per
+    // base partition and no shuffle
+    val star = Battery.bgp.find(_.name == "star-3").get.query
+    val twoHop = Engines.defaultWorkload(1) // ?a follows ?b . ?b name ?n
+    for (q <- Seq(star, twoHop)) {
+      val df = engine.execute(q)
+      val (rows, work) = JobCount.work(spark.sparkContext)(df.collect())
+      assert(rows.nonEmpty)
+      assert(work.stages == 1, work)
+      assert(work.shuffleWriteBytes == 0L, work)
+      assert(work.tasks == spark.sparkContext.defaultParallelism, work)
+    }
+    // without the workload's replicas the 2-hop query joins its two star
+    // fragments with a shuffle
+    val df = blind.execute(twoHop)
+    val (_, work) = JobCount.work(spark.sparkContext)(df.collect())
+    assert(work.shuffleWriteBytes > 0L, work)
   }
 }

@@ -45,7 +45,7 @@ class HybridJoinSpec extends EngineContract("HybridJoin", () => new HybridJoin()
     val threshold = joined.min.toLong
     val small = joined.count(_ <= threshold)
     assert(small > 0 && small < joined.size, "the threshold must force both join kinds")
-    val e = new HybridJoin(HybridJoin.Hybrid, broadcastThreshold = threshold)
+    val e = new HybridJoin(broadcastThreshold = threshold)
     e.load(triples)
     val df = e.execute(q)
     Oracle.assertEquivalent(df, ReferenceSql.toSql(q), "triples" -> triples)

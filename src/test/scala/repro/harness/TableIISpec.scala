@@ -1,8 +1,7 @@
-package repro.bench
+package repro.harness
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.engines.Engines
-import repro.harness.PaperTables
 
 /** Reproduces **Table II** — "Additional characteristics of the RDF query
   * processing approaches" — row-by-row from the implemented engines.
@@ -21,7 +20,7 @@ class TableIISpec extends AnyFunSuite {
     val engines = Engines.surveyed()
     val bgpOnly = engines.filter(_.info.sparqlFragment == "BGP")
     assert(bgpOnly.map(_.info.citation).toSet == Set("[21]", "[16]", "[12]", "[4]", "[5]"))
-    val filtered = repro.harness.Battery.bgpPlus.find(_.name == "filter-gt").get.query
+    val filtered = Battery.bgpPlus.find(_.name == "filter-gt").get.query
     bgpOnly.foreach(e => assert(!e.supports(filtered), e.info.name))
   }
 

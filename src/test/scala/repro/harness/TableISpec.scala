@@ -1,8 +1,7 @@
-package repro.bench
+package repro.harness
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.engines.Engines
-import repro.harness.PaperTables
 
 /** Reproduces **Table I** — "A taxonomy of the RDF query processing
   * approaches with respect to data model and Apache Spark abstraction" —

@@ -115,6 +115,11 @@ class ParserSpec extends AnyFunSuite {
       Parser.parse("SELECT ?zzz WHERE { ?p name ?n }"))
   }
 
+  test("a query that binds no variables is rejected") {
+    assertThrows[IllegalArgumentException](
+      Parser.parse("SELECT * WHERE { p5 rdf:type Person }"))
+  }
+
   test("FILTER on a variable not bound in the group is rejected") {
     assertThrows[IllegalArgumentException](
       Parser.parse("SELECT ?p WHERE { ?p name ?n . FILTER(?zzz > 5) }"))
