@@ -4,7 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.sparql.{Const, TriplePattern, Var}
 
-/** DataFrame-level triple-pattern algebra shared by the DataFrame / SQL /
+/** DataFrame-level triple-pattern algebra shared by the DataFrame and
   * GraphFrames engines.
   */
 object PatternDf {
@@ -37,12 +37,5 @@ object PatternDf {
   def joinBindings(l: DataFrame, r: DataFrame): DataFrame = {
     val shared = l.columns.toSeq intersect r.columns.toSeq
     if (shared.isEmpty) l.crossJoin(r) else l.join(r, shared, "inner")
-  }
-
-  /** OPTIONAL as a left outer join on the shared columns. */
-  def leftJoinBindings(l: DataFrame, r: DataFrame): DataFrame = {
-    val shared = l.columns.toSeq intersect r.columns.toSeq
-    require(shared.nonEmpty, "OPTIONAL without shared variables is unsupported")
-    l.join(r, shared, "left_outer")
   }
 }

@@ -39,8 +39,7 @@ final class GFramesEngine extends SparqlEngine {
 
   override protected def build(triples: DataFrame): Unit = {
     gf = GraphFrameLite.fromTriples(triples)
-    predFreq = triples.groupBy("p").count().collect()
-      .map(r => r.getString(0) -> r.getLong(1)).toMap
+    predFreq = Stats.predicateCounts(triples)
   }
 
   override def execute(q: Query): DataFrame = {

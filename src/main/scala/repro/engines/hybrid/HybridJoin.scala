@@ -69,25 +69,23 @@ final class HybridJoin(broadcastThreshold: Long = 10000L) extends SparqlEngine {
   def executeWith(q: Query, s: Strategy): DataFrame = {
     require(supports(q), s"${info.name} supports plain BGP only")
     val ps = q.groups.head.patterns
-    val df = s match {
-      case SparkSql    => spark.sql(ReferenceSql.toSql(q.copy(
-        projection = Vector.empty, distinct = false,
-        orderBy = Vector.empty, limit = None, offset = None), viewName))
+    def modified(df: DataFrame) = Results.applyModifiers(df, q)
+    s match {
+      case SparkSql    => spark.sql(ReferenceSql.toSql(q, viewName))
       case Partitioned =>
         // the RDD approach: joins "following the order specified by the
         // input logical query", each a partitioned (shuffle) join
-        ps.map(tp => PatternDf.matchPattern(triples, tp))
-          .reduceLeft((l, r) => PatternDf.joinBindings(l.hint("merge"), r))
+        modified(ps.map(tp => PatternDf.matchPattern(triples, tp))
+          .reduceLeft((l, r) => PatternDf.joinBindings(l.hint("merge"), r)))
       case Broadcast =>
         // the DataFrame approach: size-based preference for broadcast joins
-        broadcastSmall(ps)(PatternDf.joinBindings)
+        modified(broadcastSmall(ps)(PatternDf.joinBindings))
       case Hybrid =>
         // the hybrid greedy optimizer: start from the most selective
         // pattern, then always the cheapest connected one; inputs over the
         // threshold get a partitioned join
-        broadcastSmall(stats.reorder(ps))((l, r) => PatternDf.joinBindings(l.hint("merge"), r))
+        modified(broadcastSmall(stats.reorder(ps))((l, r) => PatternDf.joinBindings(l.hint("merge"), r)))
     }
-    Results.applyModifiers(df, q)
   }
 
   /** Joins the patterns in the given order, broadcasting each one whose

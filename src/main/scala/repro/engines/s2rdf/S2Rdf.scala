@@ -18,7 +18,8 @@ import repro.sparql._
   *     "all ExtVP tables above this threshold are not considered" (they
   *     would not pay for their storage).
   *   - query processing: SPARQL → algebra → **Spark SQL** string (Jena ARQ
-  *     in the original; our parser here), executed by Catalyst.
+  *     in the original; our parser here), executed by Catalyst. The string
+  *     is [[ReferenceSql]]'s, with each BGP laid out over VP/ExtVP views.
   *   - optimization: sub-queries with the most bound variables first; ties
   *     broken by smallest table size.
   *
@@ -55,8 +56,7 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
     spark = df.sparkSession
     triples = df
     triples.createOrReplaceTempView(triplesView)
-    vpSizes = triples.groupBy("p").count().collect()
-      .map(r => r.getString(0) -> r.getLong(1)).toMap
+    vpSizes = Stats.predicateCounts(triples)
     triples.select("s", "o").limit(0).createOrReplaceTempView(emptyVpView)
     vpSizes.keys.foreach { p =>
       triples.where(col("p") === p).select("s", "o")
@@ -96,24 +96,24 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
   /** Size of ExtVP if it exists, is a real reduction, and passes the SF
     * threshold; None otherwise.
     */
-  def extSizeIfUseful(corr: String, p1: String, p2: String): Option[Long] =
+  private def extSizeIfUseful(corr: String, p1: String, p2: String): Option[Long] =
     for {
       n <- extSizes.get((corr, p1, p2))
       vp <- vpSizes.get(p1)
       if vp > 0 && n.toDouble / vp <= sfThreshold
     } yield n
 
-  /** Choose the table for one pattern given its group: the smallest
+  /** Choose the table for one pattern given its BGP: the smallest
     * applicable ExtVP reduction, else the VP table (an empty one for a
     * predicate absent from the data), else raw triples when the predicate
     * is a variable. Returns (view, size, hasPredicateColumn).
     */
-  private def tableFor(tp: TriplePattern, group: Seq[TriplePattern]): (String, Long, Boolean) =
+  private def tableFor(tp: TriplePattern, bgp: Seq[TriplePattern]): (String, Long, Boolean) =
     tp.predConst match {
       case None => (triplesView, vpSizes.values.sum, true)
       case Some(p1) =>
         val candidates = for {
-          other <- group if other != tp
+          other <- bgp if other != tp
           p2 <- other.predConst.toSeq
           (corr, shared) <- Seq(
             ("SS", tp.s.isVar && tp.s == other.s),
@@ -129,70 +129,19 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
         }
     }
 
-  /** The survey's join-order rule: most bound variables (i.e. constants)
-    * first; ties by ascending table size.
+  /** S2RDF's layout of one BGP: each pattern reads the table [[tableFor]]
+    * picks, in the survey's join order: most bound variables (i.e.
+    * constants) first, ties by ascending table size.
     */
-  private def ordered(ps: Seq[TriplePattern]): Seq[(TriplePattern, String, Boolean)] =
-    ps.map { tp =>
-      val (view, size, hasP) = tableFor(tp, ps)
-      (tp, view, size, hasP)
-    }.sortBy { case (tp, _, size, _) => (-(tp.terms.count(!_.isVar)), size) }
-      .map { case (tp, view, _, hasP) => (tp, view, hasP) }
+  private val layout: ReferenceSql.Layout = bgp =>
+    bgp.map(tp => (tp, tableFor(tp, bgp)))
+      .sortBy { case (tp, (_, size, _)) => (-tp.terms.count(!_.isVar), size) }
+      .map { case (tp, (view, _, hasP)) => ReferenceSql.Scan(tp, view, hasP) }
 
-  /** Compile one conjunctive group (patterns + filters) to a SQL string.
-    * Public for white-box tests.
-    */
-  def groupToSql(ps: Seq[TriplePattern], filters: Seq[FilterExpr]): String = {
-    val plan = ordered(ps)
-    val colOf = scala.collection.mutable.LinkedHashMap.empty[String, String]
-    val conds = Vector.newBuilder[String]
-    val from = new StringBuilder
-    plan.zipWithIndex.foreach { case ((tp, view, hasP), i) =>
-      val a = s"q$i"
-      val joinConds = Vector.newBuilder[String]
-      val positions =
-        if (hasP) Seq(("s", tp.s), ("p", tp.p), ("o", tp.o))
-        else Seq(("s", tp.s), ("o", tp.o))
-      positions.foreach {
-        case (c, Var(v)) =>
-          colOf.get(v) match {
-            case Some(prev) => joinConds += s"$prev = $a.$c"
-            case None       => colOf(v) = s"$a.$c"
-          }
-        case (c, Const(v)) => joinConds += s"$a.$c = '${v.replace("'", "''")}'"
-      }
-      if (i == 0) {
-        from ++= s"$view $a"
-        joinConds.result().foreach(conds += _)
-      } else {
-        val jc = joinConds.result()
-        if (jc.isEmpty) from ++= s" CROSS JOIN $view $a"
-        else from ++= s" JOIN $view $a ON ${jc.mkString(" AND ")}"
-      }
-    }
-    filters.foreach(f => conds += SqlFilter.toSql(f, colOf.apply))
-    val where = conds.result() match {
-      case Vector() => ""
-      case cs       => s" WHERE ${cs.mkString(" AND ")}"
-    }
-    val proj = colOf.map { case (v, c) => s"$c AS $v" }.mkString(", ")
-    s"SELECT $proj FROM ${from.toString}$where"
-  }
+  /** The Spark SQL string S2RDF runs for `q`; public for white-box tests. */
+  def toSql(q: Query): String = ReferenceSql.toSql(q, layout)
 
-  private def evalGroup(g: BasicGroup): DataFrame = {
-    var df = spark.sql(groupToSql(g.patterns, g.filters))
-    for (opt <- g.optionals)
-      df = PatternDf.leftJoinBindings(df, spark.sql(groupToSql(opt, Seq.empty)))
-    df
-  }
-
-  override def execute(q: Query): DataFrame = {
-    val dfs = q.groups.map(evalGroup).map { df =>
-      // align schemas for the UNION (all branches bind equal var sets)
-      df.select(q.resultVars.map(v => (if (df.columns.contains(v)) col(v) else lit(null)).as(v)): _*)
-    }
-    Results.applyModifiers(dfs.reduce(_ unionAll _), q)
-  }
+  override def execute(q: Query): DataFrame = spark.sql(toSql(q))
 
   /** (corr, p1, p2) → (|ExtVP_corr(p1|p2)|, |VP_p1|) for every predicate
     * pair, whatever the SF threshold admits; public for white-box tests.

@@ -76,8 +76,7 @@ final class SparkRdf extends BindingEngine {
       .map { case (o, ((s, p, sc), oc)) => (p, s, o, sc, oc.getOrElse(Set.empty[String])) }
       .persist(StorageLevel.MEMORY_AND_DISK)
     crc.count()
-    predSizes = rel.map(t => (t._2, 1L)).reduceByKey(_ + _).collectAsMap().toMap +
-      (TypeP -> typeTriples.count())
+    predSizes = Stats.predicateCounts(triples)
   }
 
   /** Class constraints per variable, read off the query's rdf:type

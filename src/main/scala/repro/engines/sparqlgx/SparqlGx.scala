@@ -21,7 +21,7 @@ import repro.sparql._
   *     predicates, objects) reorder the join sequence.
   *   - fragment: BGP plus DISTINCT, SORT, UNION, OPTIONAL, FILTER (BGP+).
   */
-final class SparqlGx(reorderJoins: Boolean = true) extends BindingEngine {
+final class SparqlGx extends BindingEngine {
 
   val info: EngineInfo = EngineInfo(
     citation = "[13]",
@@ -44,14 +44,13 @@ final class SparqlGx(reorderJoins: Boolean = true) extends BindingEngine {
     allTriples = triples.rdd
       .map(r => (r.getString(0), r.getString(1), r.getString(2)))
       .persist(StorageLevel.MEMORY_AND_DISK)
-    val predicates = triples.select("p").distinct().collect().map(_.getString(0))
-    vertical = predicates.map { p =>
+    stats = Stats.compute(triples)
+    vertical = stats.predicateCounts.keys.map { p =>
       p -> allTriples
         .filter(_._2 == p)
         .map(t => (t._1, t._3))
         .persist(StorageLevel.MEMORY_AND_DISK)
     }.toMap
-    stats = Stats.compute(triples)
   }
 
   /** One triple pattern → bindings, reading only the pattern's vertical
@@ -70,7 +69,6 @@ final class SparqlGx(reorderJoins: Boolean = true) extends BindingEngine {
   }
 
   override protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] = {
-    val ordered = if (reorderJoins) stats.reorder(ps) else ps
-    Bindings.joinAll(ordered.map(tp => (matchOne(tp), tp.varSet)))
+    Bindings.joinAll(stats.reorder(ps).map(tp => (matchOne(tp), tp.varSet)))
   }
 }

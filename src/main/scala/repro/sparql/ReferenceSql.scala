@@ -8,11 +8,31 @@ package repro.sparql
   *     oracle* every engine is diffed against;
   *   - executed by Spark over a `triples` temp view, it is the baseline
   *     [[repro.core.ReferenceEngine]].
+  *
+  * A [[ReferenceSql.Layout]] generalizes the one table: S2RDF [24] compiles
+  * through the same code with each pattern reading its VP or ExtVP view.
   */
 object ReferenceSql {
 
-  def toSql(q: Query, table: String = "triples"): String = {
-    val groupSqls = q.groups.map(g => groupSql(g, q.resultVars, table))
+  /** One triple pattern as the SQL reads it: the table it scans, and whether
+    * that table has a `p` column (a VP or ExtVP view keeps only `s` and `o`).
+    */
+  final case class Scan(tp: TriplePattern, table: String, hasP: Boolean)
+
+  /** Maps one BGP to its scans in join order. It is applied to each BGP on
+    * its own (a group's required patterns, then each OPTIONAL's), so a scan
+    * may read a table that is valid only against partner patterns of the
+    * same BGP, as an ExtVP reduction is.
+    */
+  type Layout = Seq[TriplePattern] => Seq[Scan]
+
+  /** Every pattern scans `table(s, p, o)`, in query order. */
+  private def oneTable(table: String): Layout = _.map(Scan(_, table, hasP = true))
+
+  def toSql(q: Query, table: String = "triples"): String = toSql(q, oneTable(table))
+
+  def toSql(q: Query, layout: Layout): String = {
+    val groupSqls = q.groups.map(g => groupSql(g, q.resultVars, layout))
     val body =
       if (groupSqls.sizeIs == 1) groupSqls.head
       else groupSqls.map(s => s"($s)").mkString(" UNION ALL ")
@@ -32,8 +52,8 @@ object ReferenceSql {
     * (variables the group does not bind come out as NULL — only possible
     * through our validated UNION fragment, where branches bind equal sets).
     */
-  private def groupSql(g: BasicGroup, resultVars: Seq[String], table: String): String = {
-    val base = bgpSelect(g.patterns, g.filters, table, alias = "t")
+  private def groupSql(g: BasicGroup, resultVars: Seq[String], layout: Layout): String = {
+    val base = bgpSelect(layout(g.patterns), g.filters, alias = "t")
     if (g.optionals.isEmpty) {
       val cols = resultVars.map(v => base.col(v).map(c => s"$c AS $v").getOrElse(s"NULL AS $v"))
       s"SELECT ${cols.mkString(", ")} FROM ${base.fromWhere}"
@@ -45,7 +65,7 @@ object ReferenceSql {
       val boundBy = scala.collection.mutable.Map.empty[String, String] // var -> table alias
       base.vars.foreach(v => boundBy(v) = "b")
       g.optionals.zipWithIndex.foreach { case (opt, idx) =>
-        val ob = bgpSelect(opt, Vector.empty, table, alias = s"u${idx}_")
+        val ob = bgpSelect(layout(opt), Vector.empty, alias = s"u${idx}_")
         val oAlias = s"o$idx"
         val oCols = ob.vars.map(v => s"${ob.col(v).get} AS $v").mkString(", ")
         val shared = ob.vars.filter(boundBy.contains)
@@ -70,17 +90,19 @@ object ReferenceSql {
   ) { def col(v: String): Option[String] = colMap.get(v) }
 
   private def bgpSelect(
-      patterns: Seq[TriplePattern],
+      scans: Seq[Scan],
       filters: Seq[FilterExpr],
-      table: String,
       alias: String,
   ): BgpSelect = {
-    require(patterns.nonEmpty, "empty BGP")
+    require(scans.nonEmpty, "empty BGP")
     val colMap = scala.collection.mutable.LinkedHashMap.empty[String, String]
     val conds = Vector.newBuilder[String]
-    patterns.zipWithIndex.foreach { case (tp, i) =>
+    scans.zipWithIndex.foreach { case (Scan(tp, _, hasP), i) =>
       val a = s"$alias$i"
-      Seq(("s", tp.s), ("p", tp.p), ("o", tp.o)).foreach {
+      val positions =
+        if (hasP) Seq(("s", tp.s), ("p", tp.p), ("o", tp.o))
+        else Seq(("s", tp.s), ("o", tp.o))
+      positions.foreach {
         case (c, Var(v)) =>
           val expr = s"$a.$c"
           colMap.get(v) match {
@@ -91,7 +113,7 @@ object ReferenceSql {
       }
     }
     filters.foreach(f => conds += SqlFilter.toSql(f, colMap.apply))
-    val from = patterns.indices.map(i => s"$table $alias$i").mkString(", ")
+    val from = scans.zipWithIndex.map { case (sc, i) => s"${sc.table} $alias$i" }.mkString(", ")
     val where = conds.result() match {
       case Vector() => ""
       case cs       => " WHERE " + cs.mkString(" AND ")

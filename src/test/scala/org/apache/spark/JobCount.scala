@@ -5,10 +5,11 @@ import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageCompleted, SparkListenerStageSubmitted}
 
 /** What a block of code made Spark do: the jobs it submitted, the stages
-  * those jobs ran (skipped stages excluded), their tasks and the shuffle
-  * bytes they wrote.
+  * those jobs ran (skipped stages excluded), their tasks, the shuffle
+  * bytes they wrote and the input records they read (Spark counts every
+  * record read from a cached block).
   */
-final case class SparkWork(jobs: Int, stages: Int, tasks: Int, shuffleWriteBytes: Long)
+final case class SparkWork(jobs: Int, stages: Int, tasks: Int, shuffleWriteBytes: Long, recordsRead: Long)
 
 /** Counts the Spark work a block of code submits, by tagging its jobs with
   * a job group of their own. Listener events arrive asynchronously, so the
@@ -26,7 +27,7 @@ object JobCount {
     def ours(props: java.util.Properties) =
       Option(props).exists(_.getProperty(SparkContext.SPARK_JOB_GROUP_ID) == group)
     val jobs, stages, tasks = new AtomicInteger
-    val shuffleWrite = new AtomicLong
+    val shuffleWrite, recordsRead = new AtomicLong
     val submitted = ConcurrentHashMap.newKeySet[Int]()
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
@@ -38,6 +39,7 @@ object JobCount {
           stages.incrementAndGet()
           tasks.addAndGet(e.stageInfo.numTasks)
           shuffleWrite.addAndGet(e.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten)
+          recordsRead.addAndGet(e.stageInfo.taskMetrics.inputMetrics.recordsRead)
         }
     }
     sc.addSparkListener(listener)
@@ -45,7 +47,7 @@ object JobCount {
       sc.setJobGroup(group, group)
       val result = try body finally sc.clearJobGroup()
       sc.listenerBus.waitUntilEmpty()
-      (result, SparkWork(jobs.get, stages.get, tasks.get, shuffleWrite.get))
+      (result, SparkWork(jobs.get, stages.get, tasks.get, shuffleWrite.get, recordsRead.get))
     } finally sc.removeSparkListener(listener)
   }
 }

@@ -46,13 +46,4 @@ class PatternDfSpec extends SparkSpec {
     val b = PatternDf.matchPattern(triples, TriplePattern(Var("u"), Const("follows"), Var("v")))
     assert(PatternDf.joinBindings(a, b).count() == 4)
   }
-
-  test("leftJoinBindings keeps unmatched left rows with nulls") {
-    val a = PatternDf.matchPattern(triples, TriplePattern(Var("x"), Const("name"), Var("n")))
-    val b = PatternDf.matchPattern(triples, TriplePattern(Var("x"), Const("follows"), Var("y")))
-    val rows = PatternDf.leftJoinBindings(a, b).collect()
-    assert(rows.length == 2)
-    val bob = rows.find(_.getAs[String]("x") == "p2").get
-    assert(bob.isNullAt(bob.fieldIndex("y")))
-  }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.JobCount
 import repro.SparkSpec
 import repro.rdf.RdfSynth
 import repro.sparql.{Const, Parser, TriplePattern, Var}
@@ -14,6 +15,13 @@ class StatsSpec extends SparkSpec {
     assert(stats.distinctS == triples.select("s").distinct().count())
     assert(stats.distinctP == triples.select("p").distinct().count())
     assert(stats.distinctO == triples.select("o").distinct().count())
+  }
+
+  test("compute runs the jobs its scaladoc states") {
+    // adaptive execution runs each shuffle map stage as a job of its own
+    val jobs = (JobCount(spark.sparkContext)(Stats.compute(triples))._2,
+      JobCount(spark.sparkContext)(Stats.predicateCounts(triples))._2)
+    assert(jobs == ((5, 2)))
   }
 
   test("predicate counts sum to total") {
