@@ -13,7 +13,9 @@ import repro.rdf.Dictionary
   */
 object RdfGraph {
 
-  /** Vertex ids come from the [[Dictionary]] of subject and object values. */
+  /** Vertex ids come from the [[Dictionary]] of subject and object values.
+    * The graph is materialized before it is returned.
+    */
   def build(triples: DataFrame): Graph[String, String] = {
     val sc = triples.sparkSession.sparkContext
     val idOf = Dictionary.ids(triples.select("s").union(triples.select("o")))
@@ -23,8 +25,10 @@ object RdfGraph {
       val ids = bc.value
       Edge(ids(r.getString(0)), ids(r.getString(2)), r.getString(1))
     }
-    Graph(vertices, edges, defaultVertexAttr = null.asInstanceOf[String],
+    val graph = Graph(vertices, edges, defaultVertexAttr = null.asInstanceOf[String],
       edgeStorageLevel = StorageLevel.MEMORY_AND_DISK,
       vertexStorageLevel = StorageLevel.MEMORY_AND_DISK)
+    graph.triplets.count()
+    graph
   }
 }

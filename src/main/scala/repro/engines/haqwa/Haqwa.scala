@@ -26,11 +26,11 @@ import repro.sparql._
   *     (star fragments); a seed fragment anchors evaluation; SPARQL maps
   *     onto the RDD API (join / filter / count).
   *
-  * A BGP (a query's, or an OPTIONAL's) canonically equal to a workload
-  * query runs fully partition-local (base + replicated triples,
-  * zipPartitions); every other BGP falls back to locally-evaluated star
-  * fragments joined with shuffles. FILTER, OPTIONAL and UNION are the
-  * shared driver's ([[repro.core.BindingEngine]]).
+  * Both steps run once, in `build()`, into one [[Haqwa.Fragment]] per
+  * partition. A BGP (a query's, or an OPTIONAL's) canonically equal to a
+  * workload query runs fully partition-local; every other BGP falls back
+  * to locally-evaluated star fragments joined with shuffles. FILTER,
+  * OPTIONAL and UNION are the shared driver's ([[repro.core.BindingEngine]]).
   */
 final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
 
@@ -45,15 +45,12 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
     sparqlFragment = "BGP+",
   )
 
-  import Haqwa.{ETerm, ETp, matchLocal}
+  import Haqwa.{ETerm, ETp, Fragment}
 
   private var spark: SparkSession = _
   private var dict: Dictionary = _
-  private var partitioner: HashPartitioner = _
-  /** Base fragments: triples keyed by subject id, hash-partitioned. */
-  private var base: RDD[(Long, (Long, Long))] = _
-  /** Workload-replicated triples, keyed by the *seed* subject that needs them. */
-  private var replicated: RDD[(Long, (Long, Long, Long))] = _
+  /** One subject-indexed [[Fragment]] per hash partition. */
+  private var store: RDD[Fragment] = _
   private var workloadShapes: Set[Vector[String]] = Set.empty
 
   /** Canonical form of a BGP: variables renamed by first appearance, so
@@ -71,8 +68,9 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
   override protected def build(triples: DataFrame): Unit = {
     spark = triples.sparkSession
     dict = Dictionary.encode(triples)
-    partitioner = new HashPartitioner(spark.sparkContext.defaultParallelism)
-    base = dict.encoded
+    val partitioner = new HashPartitioner(spark.sparkContext.defaultParallelism)
+    // Step 1: triples keyed by subject id, hash-partitioned
+    val base = dict.encoded
       .map { case (s, p, o) => (s, (p, o)) }
       .partitionBy(partitioner)
       .persist(StorageLevel.MEMORY_AND_DISK)
@@ -108,12 +106,19 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
         if (covered) workloadShapes += canonical(q.groups.head.patterns)
       }
     }
-    replicated =
-      (if (replParts.isEmpty) spark.sparkContext.emptyRDD[(Long, (Long, Long, Long))]
-       else replParts.reduce(_ union _))
-        .partitionBy(partitioner)
-        .persist(StorageLevel.MEMORY_AND_DISK)
-    replicated.count()
+    val replicated = spark.sparkContext.union(replParts.toSeq).partitionBy(partitioner)
+    store = base
+      .zipPartitions(replicated, preservesPartitioning = true) { (baseIt, replIt) =>
+        val own = baseIt.toSeq.groupMap(_._1)(_._2)
+        // the same triple may be replicated for several seeds in this
+        // partition, or already live here: dedupe (RDF graphs are sets)
+        val replicas = replIt.map(_._2).filterNot(t => own.contains(t._1))
+          .toSeq.distinct.groupMap(_._1)(t => (t._2, t._3))
+        Iterator.single(Fragment(own, replicas))
+      }
+      .persist(StorageLevel.MEMORY_AND_DISK)
+    store.count()
+    base.unpersist()
   }
 
   /** Star fragments: consecutive run-groups of patterns sharing a subject term. */
@@ -136,51 +141,22 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
     rdd.map(_.map { case (k, id) => k -> values.value(id) })
   }
 
-  /** Star fragment → bindings, evaluated inside each partition (subjects
-    * are co-located by the hash fragmentation, so no shuffle happens).
+  /** Every solution of `ps`, evaluated inside each partition's fragment
+    * (subjects are co-located by the hash fragmentation, so no shuffle
+    * happens).
     */
-  private def evalFragmentLocally(frag: Seq[TriplePattern]): RDD[Binding] = {
-    encodeAll(frag) match {
-      case None => spark.sparkContext.emptyRDD[Binding]
-      case Some(eps) =>
-        val enc = base.mapPartitions { it =>
-          val bySubj = it.toSeq.groupMap(_._1)(_._2)
-          matchLocal(eps.toList, bySubj, Map.empty)
-        }
-        decode(enc)
-    }
-  }
-
-  private def encodeAll(ps: Seq[TriplePattern]): Option[Seq[ETp]] = {
+  private def evalLocally(ps: Seq[TriplePattern]): RDD[Binding] = {
     val encoded = ps.map(encodeTp)
-    if (encoded.exists(_.isEmpty)) None else Some(encoded.flatten)
-  }
-
-  /** Fully partition-local evaluation for workload queries: base triples
-    * plus the triples replicated for this query's shape.
-    */
-  private def evalWorkloadLocally(ps: Seq[TriplePattern]): RDD[Binding] = {
-    encodeAll(fragments(ps).flatten) match {
-      case None => spark.sparkContext.emptyRDD[Binding]
-      case Some(eps) =>
-        val enc = base.zipPartitions(replicated, preservesPartitioning = true) {
-          (baseIt, replIt) =>
-            val local = baseIt.toSeq
-            // the same triple may be replicated for several seeds in this
-            // partition, or already live here — dedupe (RDF graphs are sets)
-            val repl = replIt.map { case (_, (s, p, o)) => (s, (p, o)) }.toSeq
-            val localSubjects = local.map(_._1).toSet
-            val bySubj = (local ++ repl).distinct.groupMap(_._1)(_._2)
-            // seeds live here; replicated triples complete the other frags
-            matchLocal(eps.toList, bySubj, Map.empty, Some(localSubjects))
-        }
-        decode(enc)
+    if (encoded.exists(_.isEmpty)) spark.sparkContext.emptyRDD[Binding]
+    else {
+      val eps = encoded.flatten.toList
+      decode(store.mapPartitions(_.flatMap(_.matchAll(eps))))
     }
   }
 
   override protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] =
-    if (workloadShapes.contains(canonical(ps))) evalWorkloadLocally(ps)
-    else Bindings.joinAll(fragments(ps).map(f => (evalFragmentLocally(f), f.flatMap(_.vars).toSet)))
+    if (workloadShapes.contains(canonical(ps))) evalLocally(fragments(ps).flatten)
+    else Bindings.joinAll(fragments(ps).map(f => (evalLocally(f), f.flatMap(_.vars).toSet)))
 }
 
 /** Executor-side helpers: kept on the companion so Spark closures never
@@ -191,41 +167,34 @@ object Haqwa {
   type ETerm = Either[Long, String]
   final case class ETp(s: ETerm, p: ETerm, o: ETerm)
 
-  /** Backtracking BGP evaluation over one partition's subject-indexed
-    * triples. Patterns must be ordered so every pattern after the first in
-    * its fragment has its subject bound (fragments() + seed-first gives
-    * that). Unbound subject vars (fragment heads) range over the
-    * partition's *own* subjects only — replicated triples must never seed
-    * a match, or results would be duplicated across partitions.
+  /** One partition's store, indexed by subject: `own` holds the triples of
+    * the subjects hashed here, `replicas` the triples the workload
+    * replicated here (their subjects live elsewhere).
     */
-  def matchLocal(
-      ps: List[ETp],
-      bySubj: Map[Long, Seq[(Long, Long)]],
-      b: Map[String, Long],
-      seedSubjects: Option[Set[Long]] = None,
-  ): Iterator[Map[String, Long]] = ps match {
-    case Nil => Iterator.single(b)
-    case tp :: rest =>
-      val subjects: Iterator[Long] = tp.s match {
-        case Left(id) => Iterator.single(id)
-        case Right(v) =>
-          b.get(v) match {
-            case Some(s) => Iterator.single(s)
-            case None    => seedSubjects.map(_.iterator).getOrElse(bySubj.keysIterator)
-          }
-      }
-      subjects.flatMap { s =>
-        val b1 = tp.s match {
-          case Right(v) if !b.contains(v) => b + (v -> s)
-          case _                          => b
+  final case class Fragment(own: Map[Long, Seq[(Long, Long)]], replicas: Map[Long, Seq[(Long, Long)]]) {
+
+    /** Backtracking BGP evaluation over this fragment. Patterns must be
+      * ordered so every pattern after the first in its star fragment has
+      * its subject bound (fragments() + seed-first gives that). A constant
+      * or unbound subject ranges over `own` only, so each match is seeded
+      * in one partition; a bound subject is looked up in `own`, then in
+      * `replicas`.
+      */
+    def matchAll(ps: List[ETp], b: Map[String, Long] = Map.empty): Iterator[Map[String, Long]] = ps match {
+      case Nil => Iterator.single(b)
+      case tp :: rest =>
+        val subjects: Iterator[(Long, Seq[(Long, Long)])] = tp.s match {
+          case Left(id)                  => own.get(id).map(id -> _).iterator
+          case Right(v) if b.contains(v) => val s = b(v); own.get(s).orElse(replicas.get(s)).map(s -> _).iterator
+          case Right(_)                  => own.iterator
         }
-        bySubj.getOrElse(s, Seq.empty).iterator.flatMap { case (p, o) =>
-          unify(tp.p, p, b1).flatMap(b2 => unify(tp.o, o, b2)) match {
-            case Some(b3) => matchLocal(rest, bySubj, b3, seedSubjects)
-            case None     => Iterator.empty
-          }
-        }
-      }
+        for {
+          (s, pos) <- subjects
+          (p, o)   <- pos.iterator
+          b1       <- unify(tp.s, s, b).flatMap(unify(tp.p, p, _)).flatMap(unify(tp.o, o, _)).iterator
+          m        <- matchAll(rest, b1)
+        } yield m
+    }
   }
 
   private def unify(t: ETerm, v: Long, b: Map[String, Long]): Option[Map[String, Long]] =

@@ -47,10 +47,10 @@ final class SparkRdf extends BindingEngine {
 
   private val TypeP = RdfSynth.TypeProperty
 
+  /** Class index: subject → its classes (from rdf:type triples). */
+  private var classesOf: RDD[(String, Set[String])] = _
   /** CRC index rows: (p, s, o, classes(s), classes(o)) for non-type triples. */
   private var crc: RDD[(String, String, String, Set[String], Set[String])] = _
-  /** Class index: class → members (from rdf:type triples). */
-  private var classIndex: RDD[(String, String)] = _
   /** rdf:type triples in CRC row form, subject classes attached. */
   private var typeRows: RDD[(String, String, String, Set[String], Set[String])] = _
   private var predSizes: Map[String, Long] = Map.empty
@@ -60,22 +60,22 @@ final class SparkRdf extends BindingEngine {
     partitioner = new HashPartitioner(triples.sparkSession.sparkContext.defaultParallelism)
     val typeP = TypeP // local copy: closures must not capture the engine
     val raw = triples.rdd.map(r => (r.getString(0), r.getString(1), r.getString(2)))
-    val typeTriples = raw.filter(_._2 == typeP)
-    classIndex = typeTriples.map { case (s, _, c) => (c, s) }.persist(StorageLevel.MEMORY_AND_DISK)
-    val typeSets = typeTriples.map { case (s, _, c) => (s, c) }
+    classesOf = raw.filter(_._2 == typeP)
+      .map { case (s, _, c) => (s, c) }
       .groupByKey().mapValues(_.toSet)
-    typeRows = typeSets
+      .persist(StorageLevel.MEMORY_AND_DISK)
+    typeRows = classesOf
       .flatMap { case (s, cs) => cs.map(c => (typeP, s, c, cs, Set.empty[String])) }
       .persist(StorageLevel.MEMORY_AND_DISK)
     val rel = raw.filter(_._2 != typeP)
     crc = rel
       .map { case (s, p, o) => (s, (p, o)) }
-      .leftOuterJoin(typeSets)
+      .leftOuterJoin(classesOf)
       .map { case (s, ((p, o), sc)) => (o, (s, p, sc.getOrElse(Set.empty[String]))) }
-      .leftOuterJoin(typeSets)
+      .leftOuterJoin(classesOf)
       .map { case (o, ((s, p, sc), oc)) => (p, s, o, sc, oc.getOrElse(Set.empty[String])) }
       .persist(StorageLevel.MEMORY_AND_DISK)
-    crc.count()
+    (crc ++ typeRows).count()
     predSizes = Stats.predicateCounts(triples)
   }
 
@@ -152,24 +152,22 @@ final class SparkRdf extends BindingEngine {
         remaining -= tp
       }
     }
-    // fully-constant patterns act as existence guards
+    // fully-constant patterns join as zero-variable operands: a product
+    // with their zero or one empty binding, on one partition
     remaining.foreach { tp =>
-      val nonEmpty = matchTp(tp, constraints).take(1).nonEmpty
-      if (!nonEmpty) acc = acc.map(r => Rdsg(r.bindings.filter(_ => false), r.vars))
+      val guard = Rdsg(matchTp(tp, constraints).coalesce(1), Set.empty)
+      acc = Some(acc.fold(guard)(_.join(guard)))
     }
     // variables constrained by class only (no other pattern) come straight
     // from the class index
     val classOnly = constraints.keys.filterNot(v => tps.exists(_.vars.contains(v)))
     classOnly.foreach { v =>
       val req = constraints(v)
-      val members = classIndex
-        .map { case (c, s) => (s, c) }.groupByKey()
-        .filter { case (_, cs) => req.subsetOf(cs.toSet) }
-        .map { case (s, _) => Map(v -> s): Binding }
+      val members = classesOf.collect { case (s, cs) if req.subsetOf(cs) => Map(v -> s): Binding }
       val rdsg = Rdsg(members, Set(v))
       acc = Some(acc.fold(rdsg)(_.join(rdsg)))
     }
 
-    acc.map(_.bindings).getOrElse(classIndex.sparkContext.emptyRDD[Binding])
+    acc.map(_.bindings).getOrElse(crc.sparkContext.emptyRDD[Binding])
   }
 }

@@ -11,8 +11,10 @@ import repro.sparql._
   *
   *   - storage: *vertical partitioning* — "a triple (s p o) is stored in a
   *     file named p whose content keeps only s and o entries"; here, one
-  *     cached (s,o) RDD per predicate. Queries with bounded predicates read
-  *     only their predicate partitions (reduced memory footprint).
+  *     cached (s,o) RDD per predicate, all materialized at load. Queries
+  *     with bounded predicates read only their predicate partitions
+  *     (reduced memory footprint); a variable predicate reads the loaded
+  *     triples.
   *   - query processing: "parsing one by one the triple patterns and
   *     mapping them to Spark's RDD API"; consecutive sub-query results are
   *     joined via `keyBy` on a common variable, or the *cross product* is
@@ -36,14 +38,15 @@ final class SparqlGx extends BindingEngine {
 
   private var spark: SparkSession = _
   private var vertical: Map[String, RDD[(String, String)]] = Map.empty
+  /** The loaded triples, unpersisted: variable-predicate patterns scan
+    * the checkpoint `load()` took, so no third copy is cached.
+    */
   private var allTriples: RDD[(String, String, String)] = _
   private var stats: Stats = _
 
   override protected def build(triples: DataFrame): Unit = {
     spark = triples.sparkSession
-    allTriples = triples.rdd
-      .map(r => (r.getString(0), r.getString(1), r.getString(2)))
-      .persist(StorageLevel.MEMORY_AND_DISK)
+    allTriples = triples.rdd.map(r => (r.getString(0), r.getString(1), r.getString(2)))
     stats = Stats.compute(triples)
     vertical = stats.predicateCounts.keys.map { p =>
       p -> allTriples
@@ -51,6 +54,7 @@ final class SparqlGx extends BindingEngine {
         .map(t => (t._1, t._3))
         .persist(StorageLevel.MEMORY_AND_DISK)
     }.toMap
+    spark.sparkContext.union(vertical.values.toSeq).count()
   }
 
   /** One triple pattern → bindings, reading only the pattern's vertical

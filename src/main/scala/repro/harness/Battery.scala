@@ -37,6 +37,9 @@ object Battery {
     Q("self-loop-empty", "SELECT ?x WHERE { ?x follows ?x }"),
     Q("missing-const-empty", "SELECT ?n WHERE { p999999999 name ?n }"),
     Q("missing-predicate-empty", "SELECT ?x ?y WHERE { ?x nosuchpredicate ?y }"),
+    // a fully-constant pattern that matches nothing empties the answer,
+    // even when the other variables are constrained only by their class
+    Q("const-guard-empty", "SELECT ?x WHERE { ?x rdf:type City . p5 name nosuchname }"),
   )
 
   /** Queries needing BGP+ features (Table II's FILTER / AVG-style extras). */

@@ -10,17 +10,20 @@ import repro.sparql.{Query, ReferenceSql}
 
 /** `load()` leaves every engine with storage of its own: answers never
   * depend on the caller's DataFrame after `load()`, nor on another engine
-  * instance loaded in the same session.
+  * instance loaded in the same session, and every store is materialized
+  * by the time `load()` returns.
   */
 class EngineStorageSpec extends SparkSpec {
 
   private type Answer = (SparqlEngine, Query) => DataFrame
 
+  private val registry: Seq[() => SparqlEngine] =
+    Engines.withReference().indices.map(i => () => Engines.withReference()(i))
+
   /** Every engine of the registry, plus HybridJoin's Spark SQL strategy,
     * the one that reads its triples through a temp view.
     */
   private val engines: Seq[(String, () => SparqlEngine, Answer)] = {
-    val registry = Engines.withReference().indices.map(i => () => Engines.withReference()(i))
     val execute: Answer = _.execute(_)
     val sparkSql: Answer = (e, q) => e.asInstanceOf[HybridJoin].executeWith(q, HybridJoin.SparkSql)
     registry.map(mk => (mk().info.name, mk, execute)) :+
@@ -61,6 +64,22 @@ class EngineStorageSpec extends SparkSpec {
       second.load(other)
       assertAnswers(first, own)
       assertAnswers(second, other)
+    }
+  }
+
+  // Suites run one at a time, so the RDDs persisted while `load()` runs
+  // are the engine's own.
+  for (mk <- registry) {
+    test(s"${mk().info.name} has every RDD it persists cached in full when load() returns") {
+      val sc = spark.sparkContext
+      val (data, e) = (own, mk())
+      val before = sc.getPersistentRDDs.keySet
+      e.load(data)
+      val persisted = sc.getPersistentRDDs -- before
+      val cached = sc.getRDDStorageInfo.map(i => i.id -> i.numCachedPartitions).toMap
+      val lazyRdds = persisted.values.filter(r => cached.getOrElse(r.id, 0) != r.getNumPartitions)
+      assert(persisted.nonEmpty)
+      assert(lazyRdds.isEmpty, lazyRdds.map(r => s"${r.id} $r").mkString("not cached in full: ", "; ", ""))
     }
   }
 }

@@ -28,12 +28,22 @@ class HaqwaSpec extends EngineContract("HAQWA", () => new Haqwa(Engines.defaultW
     Oracle.assertEquivalent(blind.execute(q.query), ReferenceSql.toSql(q.query), "triples" -> triples)
   }
 
+  test("a workload query with a constant seed subject matches each seed once") {
+    // p5's triples are replicated wherever a follower of p5 lives; only
+    // p5's own partition may seed a match
+    val q = Parser.parse("SELECT ?b ?n WHERE { p5 follows ?b . ?b name ?n }")
+    val e = new Haqwa(Seq(q))
+    e.load(triples)
+    Oracle.assertEquivalent(e.execute(q), ReferenceSql.toSql(q), "triples" -> triples)
+  }
+
   test("star queries never shuffle bindings (single stage per fragment)") {
     // correctness is the oracle's job; here we check the plan shape: a star
-    // evaluates within mapPartitions over the subject-hashed base, and a
-    // workload query within zipPartitions over the base and the triples
-    // replicated for it, so either action is one stage with one task per
-    // base partition and no shuffle
+    // and a workload query both evaluate within mapPartitions over the
+    // store, one subject-indexed fragment per partition built at load, so
+    // either action is one stage with one task per partition, no shuffle,
+    // and reads exactly one record (the fragment) per partition: nothing
+    // is regrouped per query
     val star = Battery.bgp.find(_.name == "star-3").get.query
     val twoHop = Engines.defaultWorkload(1) // ?a follows ?b . ?b name ?n
     for (q <- Seq(star, twoHop)) {
@@ -43,6 +53,7 @@ class HaqwaSpec extends EngineContract("HAQWA", () => new Haqwa(Engines.defaultW
       assert(work.stages == 1, work)
       assert(work.shuffleWriteBytes == 0L, work)
       assert(work.tasks == spark.sparkContext.defaultParallelism, work)
+      assert(work.recordsRead == spark.sparkContext.defaultParallelism, work)
     }
     // without the workload's replicas the 2-hop query joins its two star
     // fragments with a shuffle

@@ -1,7 +1,9 @@
 package repro.engines
 
+import org.apache.spark.JobCount
 import repro.Oracle
 import repro.engines.sparkrdf.SparkRdf
+import repro.harness.Battery
 import repro.sparql.{Parser, ReferenceSql}
 
 class SparkRdfSpec extends EngineContract("SparkRDF", () => new SparkRdf()) {
@@ -27,5 +29,16 @@ class SparkRdfSpec extends EngineContract("SparkRDF", () => new SparkRdf()) {
   test("variable-class rdf:type patterns see the full class sets") {
     val q = Parser.parse("SELECT ?x ?c WHERE { ?x rdf:type ?c . ?x rdf:type Person }")
     Oracle.assertEquivalent(engine.execute(q), ReferenceSql.toSql(q), "triples" -> triples)
+  }
+
+  test("execute() runs no Spark job") {
+    // constant-only patterns join as operands instead of being probed, and
+    // class-only variables filter the class index built at load
+    val guarded = Parser.parse("SELECT ?n WHERE { p5 name ?n . p5 rdf:type Person }")
+    Oracle.assertEquivalent(engine.execute(guarded), ReferenceSql.toSql(guarded), "triples" -> triples)
+    val queries = Battery.all.filter(q => engine.supports(q.query)).map(q => q.name -> q.query) :+
+      ("p5 name ?n . p5 rdf:type Person" -> guarded)
+    for ((name, q) <- queries)
+      assert(JobCount(spark.sparkContext)(engine.execute(q))._2 == 0, name)
   }
 }

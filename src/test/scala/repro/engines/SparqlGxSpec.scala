@@ -10,13 +10,15 @@ import repro.sparql.ReferenceSql
 class SparqlGxSpec extends EngineContract("SPARQLGX", () => new SparqlGx()) {
 
   test("vertical partitioning answers bounded-predicate queries from one partition") {
-    // star-2 reads the name and age partitions and no other triple; the
-    // first run materializes those partitions, the second reads them cached
+    // load() materializes every partition, so the first star-2 of a fresh
+    // engine reads the name and age partitions from the cache and no other
+    // triple
     val q = Battery.bgp.find(_.name == "star-2").get
-    engine.execute(q.query).collect()
-    val (_, work) = JobCount.work(spark.sparkContext)(engine.execute(q.query).collect())
+    val fresh = new SparqlGx()
+    fresh.load(triples)
+    val (_, work) = JobCount.work(spark.sparkContext)(fresh.execute(q.query).collect())
     val bounded = triples.where(col("p").isin("name", "age")).count()
-    assert(work.recordsRead == bounded)
+    assert(work.recordsRead == bounded, work)
     assert(bounded < triples.count())
     Oracle.assertEquivalent(engine.execute(q.query), ReferenceSql.toSql(q.query), "triples" -> triples)
   }
