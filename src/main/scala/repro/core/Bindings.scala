@@ -1,7 +1,9 @@
 package repro.core
 
+import scala.reflect.ClassTag
+import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
-import repro.sparql.{Const, FilterExpr, FilterEval, TriplePattern, Var}
+import repro.sparql.{Const, FilterExpr, FilterEval, Term, TriplePattern, Var}
 
 /** RDD-level solution-binding algebra shared by the RDD-based engines
   * (SPARQLGX, HAQWA, SparkRDF, and the GraphX engines' assembly phase).
@@ -20,25 +22,35 @@ object Bindings {
     triples.flatMap { case (s, p, o) => bindTriple(tp, s, p, o) }
 
   /** Bind a single triple to a pattern, if it matches. */
-  def bindTriple(tp: TriplePattern, s: String, p: String, o: String): Option[Binding] = {
-    var b = Map.empty[String, String]
-    def unify(t: repro.sparql.Term, v: String): Boolean = t match {
-      case Const(c) => c == v
-      case Var(n) =>
-        b.get(n) match {
-          case Some(prev) => prev == v
-          case None       => b += (n -> v); true
-        }
-    }
-    if (unify(tp.s, s) && unify(tp.p, p) && unify(tp.o, o)) Some(b) else None
+  def bindTriple(tp: TriplePattern, s: String, p: String, o: String): Option[Binding] =
+    unify(tp.s, s, Map.empty).flatMap(unify(tp.p, p, _)).flatMap(unify(tp.o, o, _))
+
+  /** Extend `b` so that term `t` denotes value `v`: a constant must equal
+    * `v`, a bound variable must already hold `v`, a free variable is bound
+    * to `v`.
+    */
+  def unify(t: Term, v: String, b: Binding): Option[Binding] = t match {
+    case Const(c) => Option.when(c == v)(b)
+    case Var(n) =>
+      b.get(n) match {
+        case Some(prev) => Option.when(prev == v)(b)
+        case None       => Some(b + (n -> v))
+      }
   }
+
+  /** Keyed binding joins shuffle into one partition per core, whatever the
+    * operands' partition counts: SparkRDF's dynamic pre-partitioning, as
+    * the rule for every engine.
+    */
+  private def perCore(rdd: RDD[_]): HashPartitioner =
+    new HashPartitioner(rdd.sparkContext.defaultParallelism)
 
   /** Natural join on the given key variables; cartesian when keys is empty. */
   def joinOn(l: RDD[Binding], r: RDD[Binding], keys: Seq[String]): RDD[Binding] =
     if (keys.isEmpty) l.cartesian(r).map { case (a, b) => a ++ b }
     else
       l.keyBy(b => keys.map(b))
-        .join(r.keyBy(b => keys.map(b)))
+        .join(r.keyBy(b => keys.map(b)), perCore(l))
         .map { case (_, (a, b)) => a ++ b }
 
   /** Natural join, inferring shared variables from the two sides' schemas. */
@@ -54,7 +66,7 @@ object Bindings {
   def leftJoin(l: RDD[Binding], r: RDD[Binding], keys: Seq[String]): RDD[Binding] = {
     require(keys.nonEmpty, "OPTIONAL without shared variables is unsupported")
     l.keyBy(b => keys.map(b.get))
-      .leftOuterJoin(r.keyBy(b => keys.map(b.get)))
+      .leftOuterJoin(r.keyBy(b => keys.map(b.get)), perCore(l))
       .map {
         case (_, (a, Some(b))) => a ++ b
         case (_, (a, None))    => a
@@ -69,6 +81,14 @@ object Bindings {
       x <- a; y <- b
       if y.forall { case (k, v) => x.get(k).forall(_ == v) }
     } yield x ++ y
+
+  /** The GraphX engines' per-vertex merge: join two tables of sub-results on
+    * the vertex, [[mergeLocal]] each pair, and drop vertices left with no
+    * binding. The join keeps the operands' partitioner, so two tables of
+    * one graph merge without a shuffle.
+    */
+  def mergeTables[K: ClassTag](l: RDD[(K, Seq[Binding])], r: RDD[(K, Seq[Binding])]): RDD[(K, Seq[Binding])] =
+    l.join(r).mapValues { case (a, b) => mergeLocal(a, b) }.filter(_._2.nonEmpty)
 
   def applyFilters(rdd: RDD[Binding], filters: Seq[FilterExpr]): RDD[Binding] =
     if (filters.isEmpty) rdd

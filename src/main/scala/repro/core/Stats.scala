@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.sparql.{Const, TriplePattern}
+import repro.sparql.TriplePattern
 
 /** Dataset statistics used for join reordering, as the survey describes for
   * SPARQLGX ("counts all distinct subjects, predicates and objects"), S2RDF
@@ -21,10 +21,7 @@ final case class Stats(
     * systems' statistics modules boil down to.
     */
   def estimate(tp: TriplePattern): Double = {
-    var card: Double = tp.predConst match {
-      case Some(p) => predicateCounts.getOrElse(p, 0L).toDouble
-      case None    => total.toDouble
-    }
+    var card = Stats.predicateSize(predicateCounts, tp).toDouble
     if (!tp.s.isVar) card /= math.max(1L, distinctS).toDouble
     if (!tp.o.isVar) card /= math.max(1L, distinctO).toDouble
     card
@@ -57,6 +54,12 @@ object Stats {
     }
     ordered.result()
   }
+
+  /** The triples a pattern's predicate admits, from [[predicateCounts]]:
+    * its count, or every triple when the predicate is a variable.
+    */
+  def predicateSize(counts: Map[String, Long], tp: TriplePattern): Long =
+    tp.predConst.fold(counts.values.sum)(counts.getOrElse(_, 0L))
 
   /** Two aggregates, the totals and [[predicateCounts]], in five Spark
     * jobs (adaptive execution runs each shuffle map stage as a job of its

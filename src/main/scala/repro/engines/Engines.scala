@@ -18,8 +18,8 @@ object Engines {
   )
 
   /** The nine surveyed systems, in the paper's Table II row order. */
-  def surveyed(haqwaWorkload: Seq[Query] = defaultWorkload): Seq[SparqlEngine] = Seq(
-    new haqwa.Haqwa(haqwaWorkload),
+  def surveyed(): Seq[SparqlEngine] = Seq(
+    new haqwa.Haqwa(defaultWorkload),
     new sparqlgx.SparqlGx(),
     new s2rdf.S2Rdf(),
     new hybrid.HybridJoin(),
@@ -30,6 +30,5 @@ object Engines {
     new sparkrdf.SparkRdf(),
   )
 
-  def withReference(haqwaWorkload: Seq[Query] = defaultWorkload): Seq[SparqlEngine] =
-    new ReferenceEngine() +: surveyed(haqwaWorkload)
+  def withReference(): Seq[SparqlEngine] = new ReferenceEngine() +: surveyed()
 }

@@ -46,8 +46,7 @@ final class GFramesEngine extends SparqlEngine {
     require(supports(q), s"${info.name} supports plain BGP only")
     val ps = q.groups.head.patterns
     // optimization 1: non-descending predicate frequency (rarest first)
-    val ordered = ps.sortBy(tp =>
-      tp.predConst.map(p => predFreq.getOrElse(p, 0L)).getOrElse(predFreq.values.sum))
+    val ordered = ps.sortBy(Stats.predicateSize(predFreq, _))
     // optimization 2: local search space pruning (only when every predicate
     // is bounded — otherwise every triple may match)
     val target =

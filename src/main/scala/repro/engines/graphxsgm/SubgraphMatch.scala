@@ -65,9 +65,7 @@ final class SubgraphMatch extends BindingEngine {
       tps.zipWithIndex.groupBy(_._1.s).view.mapValues(_.map(_._2)).toMap
     val groupTables: Seq[(RDD[Binding], Set[String])] =
       bySubject.toSeq.sortBy(_._2.min).map { case (_, idxs) =>
-        val merged = idxs.map(mtPerTp)
-          .reduce((l, r) => l.join(r).mapValues { case (a, b) => Bindings.mergeLocal(a, b) })
-          .filter(_._2.nonEmpty)
+        val merged = idxs.map(mtPerTp).reduce(Bindings.mergeTables[VertexId])
         val vars = idxs.flatMap(i => tps(i).vars).toSet
         (merged.flatMap(_._2), vars)
       }

@@ -29,8 +29,6 @@ import repro.sparql._
   * supported (fragment "BGP" in Table II).
   */
 final class SparKql extends BindingEngine {
-  import SparKql.extend
-
   val info: EngineInfo = EngineInfo(
     citation = "[12]",
     name = "Spar(k)ql",
@@ -132,25 +130,9 @@ final class SparKql extends BindingEngine {
     */
   private def localTables(term: Term, dataTps: Seq[TriplePattern]): VertexRDD[Seq[Binding]] =
     graph.vertices.mapValues { case (value, props) =>
-      val start: Seq[Binding] = term match {
-        case Var(v)   => Seq(Map(v -> value))
-        case Const(c) => if (c == value) Seq(Map.empty) else Seq.empty
-      }
-      dataTps.foldLeft(start) { (rows, tp) =>
-        if (rows.isEmpty) rows
-        else {
-          val vals = props.getOrElse(tp.predConst.get, Seq.empty)
-          tp.o match {
-            case Const(c) => if (vals.contains(c)) rows else Seq.empty
-            case Var(w) =>
-              rows.flatMap(r =>
-                vals.flatMap(v =>
-                  r.get(w) match {
-                    case Some(prev) => if (prev == v) Some(r) else None
-                    case None       => Some(r + (w -> v))
-                  }))
-          }
-        }
+      dataTps.foldLeft(Bindings.unify(term, value, Map.empty).toSeq) { (rows, tp) =>
+        val vals = props.getOrElse(tp.predConst.get, Seq.empty)
+        rows.flatMap(r => vals.flatMap(Bindings.unify(tp.o, _, r)))
       }
     }.filter(_._2.nonEmpty).asInstanceOf[VertexRDD[Seq[Binding]]]
 
@@ -175,17 +157,16 @@ final class SparKql extends BindingEngine {
             if (childIsObject) {
               val rows = ctx.dstAttr._2
               if (rows.nonEmpty)
-                ctx.sendToSrc(extend(rows, parentTerm, ctx.srcAttr._1))
+                ctx.sendToSrc(rows.flatMap(Bindings.unify(parentTerm, ctx.srcAttr._1, _)))
             } else {
               val rows = ctx.srcAttr._2
               if (rows.nonEmpty)
-                ctx.sendToDst(extend(rows, parentTerm, ctx.dstAttr._1))
+                ctx.sendToDst(rows.flatMap(Bindings.unify(parentTerm, ctx.dstAttr._1, _)))
             }
           },
         _ ++ _,
       )
-      table = table.join(lifted).mapValues { case (a, b) => Bindings.mergeLocal(a, b) }
-        .filter(_._2.nonEmpty)
+      table = Bindings.mergeTables(table, lifted)
     }
     table
   }
@@ -196,8 +177,8 @@ final class SparKql extends BindingEngine {
   }
 }
 
-/** Executor-side helper on the companion: Spark closures must not capture
-  * the engine instance (it holds a non-serializable Graph).
+/** The plan's types live on the companion: Spark closures that carry them
+  * must not capture the engine instance (it holds a non-serializable Graph).
   */
 object SparKql {
   /** A node of the BFS plan tree (companion-nested: no $outer, so plan
@@ -205,16 +186,4 @@ object SparKql {
     */
   final case class TreeNode(term: Term, children: Seq[(TreeNode, TriplePattern)])
   final case class Plan(root: TreeNode, dataByTerm: Map[Term, Seq[TriplePattern]])
-
-  /** Extend child rows with the parent's binding (if the parent is a var). */
-  def extend(rows: Seq[Binding], parentTerm: Term, parentValue: String): Seq[Binding] =
-    parentTerm match {
-      case Var(v) =>
-        rows.flatMap(r =>
-          r.get(v) match {
-            case Some(prev) => if (prev == parentValue) Some(r) else None
-            case None       => Some(r + (v -> parentValue))
-          })
-      case Const(_) => rows
-    }
 }

@@ -1,6 +1,5 @@
 package repro.engines.sparkrdf
 
-import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
@@ -54,10 +53,8 @@ final class SparkRdf extends BindingEngine {
   /** rdf:type triples in CRC row form, subject classes attached. */
   private var typeRows: RDD[(String, String, String, Set[String], Set[String])] = _
   private var predSizes: Map[String, Long] = Map.empty
-  private var partitioner: HashPartitioner = _
 
   override protected def build(triples: DataFrame): Unit = {
-    partitioner = new HashPartitioner(triples.sparkSession.sparkContext.defaultParallelism)
     val typeP = TypeP // local copy: closures must not capture the engine
     val raw = triples.rdd.map(r => (r.getString(0), r.getString(1), r.getString(2)))
     classesOf = raw.filter(_._2 == typeP)
@@ -111,63 +108,37 @@ final class SparkRdf extends BindingEngine {
     }
   }
 
-  /** RDSG: bindings plus schema, with prepartitioned joins. */
-  private final case class Rdsg(bindings: RDD[Binding], vars: Set[String]) {
-    /** The dynamic pre-partitioning join: both operands are hash-partitioned
-      * on the shared variables so "records sharing the same variable value
-      * will be read into the same partition".
-      */
-    def join(other: Rdsg): Rdsg = {
-      val keys = (vars intersect other.vars).toSeq.sorted
-      val joined =
-        if (keys.isEmpty) bindings.cartesian(other.bindings).map { case (a, b) => a ++ b }
-        else {
-          val l = bindings.keyBy(b => keys.map(b)).partitionBy(partitioner)
-          val r = other.bindings.keyBy(b => keys.map(b)).partitionBy(partitioner)
-          l.join(r).map { case (_, (a, b)) => a ++ b }
-        }
-      Rdsg(joined, vars ++ other.vars)
-    }
-  }
-
+  /** The RDSGs are binding RDDs: one per pattern in variable order, then
+    * the fully-constant guards, then the class-only variables, joined
+    * left to right by [[Bindings.joinAll]], whose keyed joins are the
+    * dynamic pre-partitioning — both operands hash-partitioned on the
+    * shared variables, so "records sharing the same variable value will be
+    * read into the same partition".
+    */
   override protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] = {
     val (constraints, tps) = classConstraints(ps)
-
-    def est(tp: TriplePattern): Long = tp.predConst
-      .map(p => predSizes.getOrElse(p, 0L))
-      .getOrElse(predSizes.values.sum)
+    def est(tp: TriplePattern): Long = Stats.predicateSize(predSizes, tp)
 
     // variable order: ascending by the most selective pattern that mentions
     // the variable; then per variable, patterns ascending by size
     val varOrder = tps.flatMap(_.vars).distinct
       .sortBy(v => tps.filter(_.vars.contains(v)).map(est).min)
-
     val remaining = scala.collection.mutable.ArrayBuffer(tps: _*)
-    var acc: Option[Rdsg] = None
-    for (x <- varOrder) {
+    val ordered = varOrder.flatMap { x =>
       val mine = remaining.filter(_.vars.contains(x)).sortBy(est)
-      mine.foreach { tp =>
-        val rdsg = Rdsg(matchTp(tp, constraints), tp.varSet)
-        acc = Some(acc.fold(rdsg)(_.join(rdsg)))
-        remaining -= tp
-      }
+      remaining --= mine
+      mine
     }
+    val patterns = ordered.map(tp => (matchTp(tp, constraints), tp.varSet))
     // fully-constant patterns join as zero-variable operands: a product
     // with their zero or one empty binding, on one partition
-    remaining.foreach { tp =>
-      val guard = Rdsg(matchTp(tp, constraints).coalesce(1), Set.empty)
-      acc = Some(acc.fold(guard)(_.join(guard)))
-    }
+    val guards = remaining.map(tp => (matchTp(tp, constraints).coalesce(1), Set.empty[String]))
     // variables constrained by class only (no other pattern) come straight
     // from the class index
-    val classOnly = constraints.keys.filterNot(v => tps.exists(_.vars.contains(v)))
-    classOnly.foreach { v =>
+    val classOnly = constraints.keys.filterNot(v => tps.exists(_.vars.contains(v))).map { v =>
       val req = constraints(v)
-      val members = classesOf.collect { case (s, cs) if req.subsetOf(cs) => Map(v -> s): Binding }
-      val rdsg = Rdsg(members, Set(v))
-      acc = Some(acc.fold(rdsg)(_.join(rdsg)))
+      (classesOf.collect { case (s, cs) if req.subsetOf(cs) => Map(v -> s): Binding }, Set(v))
     }
-
-    acc.map(_.bindings).getOrElse(crc.sparkContext.emptyRDD[Binding])
+    Bindings.joinAll(patterns ++ guards ++ classOnly)
   }
 }

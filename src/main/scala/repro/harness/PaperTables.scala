@@ -1,6 +1,5 @@
 package repro.harness
 
-import repro.core.SparqlEngine
 import repro.engines.Engines
 
 /** The paper's evaluation artifacts — Table I (taxonomy) and Table II
@@ -46,15 +45,15 @@ object PaperTables {
     if (m == "Triple") "The Triple Model" else "The Graph Model"
 
   /** Our Table I, derived from the engines' metadata. */
-  def measuredTableI(engines: Seq[SparqlEngine] = Engines.surveyed()): Map[(String, String), Set[String]] =
-    engines
+  def measuredTableI(): Map[(String, String), Set[String]] =
+    Engines.surveyed()
       .flatMap(e => e.info.abstractions.map(a => (a, modelLabel(e.info.dataModel)) -> e.info.citation))
       .groupMap(_._1)(_._2).view.mapValues(_.toSet).toMap
       .withDefaultValue(Set.empty)
 
   /** Our Table II, derived from the engines' metadata (paper row order). */
-  def measuredTableII(engines: Seq[SparqlEngine] = Engines.surveyed()): Seq[TableIIRow] = {
-    val byCitation = engines.map(e => e.info.citation -> e.info).toMap
+  def measuredTableII(): Seq[TableIIRow] = {
+    val byCitation = Engines.surveyed().map(e => e.info.citation -> e.info).toMap
     paperTableII.map(_.citation).map { c =>
       val i = byCitation(c)
       TableIIRow(c, i.queryProcessing, i.optimization, i.partitioning, i.sparqlFragment)

@@ -73,6 +73,14 @@ class BindingsSpec extends SparkSpec {
     assert(out == Set(Map("x" -> "1", "y" -> "a", "z" -> "!"), Map("x" -> "2")))
   }
 
+  test("joinOn and leftJoin partition to the cores, not to their inputs") {
+    val l = spark.sparkContext.parallelize(Seq(Map("x" -> "1"), Map("x" -> "2")), 64)
+    val r = spark.sparkContext.parallelize(Seq(Map("x" -> "1", "y" -> "a")), 64)
+    val cores = spark.sparkContext.defaultParallelism
+    assert(Bindings.joinOn(l, r, Seq("x")).getNumPartitions == cores)
+    assert(Bindings.leftJoin(l, r, Seq("x")).getNumPartitions == cores)
+  }
+
   test("leftJoin without keys is rejected") {
     assertThrows[IllegalArgumentException](
       Bindings.leftJoin(rdd(Map("x" -> "1")), rdd(Map("y" -> "2")), Seq.empty))
@@ -105,5 +113,17 @@ class BindingsSpec extends SparkSpec {
     val b = Seq(Map("y" -> "9"))
     assert(Bindings.mergeLocal(a, b).toSet ==
       Set(Map("x" -> "1", "y" -> "9"), Map("x" -> "2", "y" -> "9")))
+  }
+
+  test("mergeTables merges compatible bindings per key and drops keys left empty") {
+    val l = spark.sparkContext.parallelize(Seq(
+      1L -> Seq(Map("x" -> "1", "y" -> "a"), Map("x" -> "2", "y" -> "b")),
+      2L -> Seq(Map("x" -> "1")),
+      3L -> Seq(Map("x" -> "1"))))
+    val r = spark.sparkContext.parallelize(Seq(
+      1L -> Seq(Map("x" -> "1", "z" -> "c")),
+      2L -> Seq(Map("x" -> "9", "z" -> "d"))))
+    assert(Bindings.mergeTables(l, r).collect().toMap ==
+      Map(1L -> Seq(Map("x" -> "1", "y" -> "a", "z" -> "c"))))
   }
 }

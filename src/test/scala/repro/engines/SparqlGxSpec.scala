@@ -19,6 +19,8 @@ class SparqlGxSpec extends EngineContract("SPARQLGX", () => new SparqlGx()) {
     val (_, work) = JobCount.work(spark.sparkContext)(fresh.execute(q.query).collect())
     val bounded = triples.where(col("p").isin("name", "age")).count()
     assert(work.recordsRead == bounded, work)
+    // each VP table and each join has one partition per core
+    assert(work.tasks <= work.stages * spark.sparkContext.defaultParallelism, work)
     assert(bounded < triples.count())
     Oracle.assertEquivalent(engine.execute(q.query), ReferenceSql.toSql(q.query), "triples" -> triples)
   }
