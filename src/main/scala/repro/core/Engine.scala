@@ -25,12 +25,14 @@ trait SparqlEngine {
   def info: EngineInfo
 
   /** Ingest the dataset (string columns s, p, o) into storage the engine
-    * owns. The input is materialized once as a local checkpoint, which cuts
-    * its lineage: the engine's indexes, partitions, dictionaries and graphs
-    * are built from that copy, so no query re-analyzes or re-evaluates the
-    * caller's plan, and the caller may unpersist its DataFrame.
+    * owns. The input is coalesced to one partition per core at most and
+    * materialized once as a local checkpoint, which cuts its lineage: the
+    * engine's stores are built from that copy and inherit its partition
+    * count (a store hashed by a key uses `defaultParallelism` too), and no
+    * query re-evaluates the caller's plan, so the caller may unpersist it.
     */
-  final def load(triples: DataFrame): Unit = build(triples.localCheckpoint())
+  final def load(triples: DataFrame): Unit =
+    build(triples.coalesce(triples.sparkSession.sparkContext.defaultParallelism).localCheckpoint())
 
   /** Builds the storage layer the system prescribes from a materialized,
     * lineage-free copy of the triples.

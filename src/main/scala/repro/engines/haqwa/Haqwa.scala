@@ -73,8 +73,6 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
     val base = dict.encoded
       .map { case (s, p, o) => (s, (p, o)) }
       .partitionBy(partitioner)
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    base.count()
 
     // Step 2: workload-aware allocation. For each 2-fragment workload query
     // with a subject-object link (x p y)(y q z): co-locate every (y q z)
@@ -118,7 +116,6 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
       }
       .persist(StorageLevel.MEMORY_AND_DISK)
     store.count()
-    base.unpersist()
   }
 
   /** Star fragments: consecutive run-groups of patterns sharing a subject term. */

@@ -58,7 +58,7 @@ final class HybridJoin(broadcastThreshold: Long = 10000L) extends SparqlEngine {
 
   override protected def build(df: DataFrame): Unit = {
     spark = df.sparkSession
-    triples = df.repartition(col("s")).cache()
+    triples = df.repartition(spark.sparkContext.defaultParallelism, col("s")).cache()
     triples.createOrReplaceTempView(viewName)
     stats = Stats.compute(triples)
   }

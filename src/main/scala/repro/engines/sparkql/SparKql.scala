@@ -52,8 +52,7 @@ final class SparKql extends BindingEngine {
     val resourcePreds = triples
       .join(subjDf.withColumnRenamed("s", "subj"), triples("o") === $"subj", "leftsemi")
       .select("p").distinct().as[String].collect().toSet
-    val allPreds = triples.select("p").distinct().as[String].collect().toSet
-    dataProps = allPreds -- resourcePreds
+    dataProps = Stats.predicateCounts(triples).keySet -- resourcePreds
 
     val dataTriples = triples.where($"p".isin(dataProps.toSeq: _*))
     val objTriples = triples.where(!$"p".isin(dataProps.toSeq: _*))

@@ -52,7 +52,6 @@ final class SparqlGx extends BindingEngine {
       p -> allTriples
         .filter(_._2 == p)
         .map(t => (t._1, t._3))
-        .coalesce(spark.sparkContext.defaultParallelism) // not the checkpoint's count
         .persist(StorageLevel.MEMORY_AND_DISK)
     }.toMap
     spark.sparkContext.union(vertical.values.toSeq).count()

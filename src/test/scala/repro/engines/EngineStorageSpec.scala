@@ -1,5 +1,6 @@
 package repro.engines
 
+import org.apache.spark.JobCount
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 import repro.core.SparqlEngine
@@ -10,8 +11,9 @@ import repro.sparql.{Query, ReferenceSql}
 
 /** `load()` leaves every engine with storage of its own: answers never
   * depend on the caller's DataFrame after `load()`, nor on another engine
-  * instance loaded in the same session, and every store is materialized
-  * by the time `load()` returns.
+  * instance loaded in the same session, every store is materialized by the
+  * time `load()` returns, and neither a store nor a query's stages run on
+  * more partitions than there are cores, however many the input has.
   */
 class EngineStorageSpec extends SparkSpec {
 
@@ -39,6 +41,8 @@ class EngineStorageSpec extends SparkSpec {
 
   private lazy val own = local(RdfSynth.social(spark, sf = 0.005))
   private lazy val other = local(RdfSynth.social(spark, sf = 0.002, seed = 12))
+  /** `own` with more partitions than cores, as a shuffle's output has. */
+  private lazy val wide = own.repartition(64)
 
   for ((name, mk, answer) <- engines) {
     def assertAnswers(e: SparqlEngine, triples: DataFrame): Unit =
@@ -72,14 +76,31 @@ class EngineStorageSpec extends SparkSpec {
   for (mk <- registry) {
     test(s"${mk().info.name} has every RDD it persists cached in full when load() returns") {
       val sc = spark.sparkContext
-      val (data, e) = (own, mk())
+      val e = mk()
       val before = sc.getPersistentRDDs.keySet
-      e.load(data)
+      // the storage status is updated from listener events: JobCount
+      // waits until they are all delivered before it returns
+      JobCount(sc)(e.load(wide))
       val persisted = sc.getPersistentRDDs -- before
       val cached = sc.getRDDStorageInfo.map(i => i.id -> i.numCachedPartitions).toMap
       val lazyRdds = persisted.values.filter(r => cached.getOrElse(r.id, 0) != r.getNumPartitions)
+      val wideRdds = persisted.values.filter(_.getNumPartitions > sc.defaultParallelism)
       assert(persisted.nonEmpty)
       assert(lazyRdds.isEmpty, lazyRdds.map(r => s"${r.id} $r").mkString("not cached in full: ", "; ", ""))
+      assert(wideRdds.isEmpty,
+        wideRdds.map(r => s"${r.id} $r: ${r.getNumPartitions}").mkString("more partitions than cores: ", "; ", ""))
+    }
+
+    test(s"${mk().info.name} runs star-3 and linear-2 with at most one task per core per stage") {
+      val sc = spark.sparkContext
+      val e = mk()
+      e.load(wide)
+      for (name <- Seq("star-3", "linear-2")) {
+        val q = Battery.all.find(_.name == name).get.query
+        assert(e.supports(q), name)
+        val (_, work) = JobCount.work(sc)(e.execute(q).collect())
+        assert(work.tasks <= work.stages * sc.defaultParallelism, s"$name: $work")
+      }
     }
   }
 }
