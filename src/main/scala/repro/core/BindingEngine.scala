@@ -21,8 +21,7 @@ abstract class BindingEngine extends SparqlEngine {
     */
   protected def matchBgp(patterns: Vector[TriplePattern]): RDD[Binding]
 
-  final override def execute(q: Query): DataFrame = {
-    require(supports(q), s"${info.name} does not support this query (its fragment: ${info.sparqlFragment})")
+  final override protected def answer(q: Query): DataFrame = {
     val union = q.groups.map(evalGroup).reduce(_ union _)
     Results.applyModifiers(Results.toDf(SparkSession.active, union, q.resultVars), q)
   }

@@ -31,16 +31,25 @@ trait SparqlEngine {
     * count (a store hashed by a key uses `defaultParallelism` too), and no
     * query re-evaluates the caller's plan, so the caller may unpersist it.
     */
-  final def load(triples: DataFrame): Unit =
+  final def load(triples: DataFrame): Unit = {
     build(triples.coalesce(triples.sparkSession.sparkContext.defaultParallelism).localCheckpoint())
+    loaded = true
+  }
 
   /** Builds the storage layer the system prescribes from a materialized,
     * lineage-free copy of the triples.
     */
   protected def build(triples: DataFrame): Unit
 
-  /** Answer a query. Callers must only pass queries `supports` accepts. */
-  def execute(q: Query): DataFrame
+  /** Answer a query: `load()` must have run, and `supports(q)` must hold. */
+  final def execute(q: Query): DataFrame = {
+    require(loaded, s"${info.name}: call load() before execute()")
+    require(supports(q), s"${info.name} does not support this query (its fragment: ${info.sparqlFragment})")
+    answer(q)
+  }
+
+  /** Answers a query `supports` accepts, from the store `build()` made. */
+  protected def answer(q: Query): DataFrame
 
   /** Whether the engine's SPARQL fragment (paper Table II) covers `q`.
     * BGP systems take plain conjunctive patterns (+ solution modifiers);
@@ -55,6 +64,7 @@ trait SparqlEngine {
   protected final def uniqueView(base: String): String = s"${base}_$instanceId"
 
   private val instanceId: Long = SparqlEngine.instances.incrementAndGet()
+  private var loaded = false
 }
 
 object SparqlEngine {

@@ -31,6 +31,6 @@ final class ReferenceEngine extends SparqlEngine {
     triples.createOrReplaceTempView(viewName)
   }
 
-  override def execute(q: Query): DataFrame =
+  override protected def answer(q: Query): DataFrame =
     triples.sparkSession.sql(ReferenceSql.toSql(q, viewName))
 }

@@ -42,8 +42,7 @@ final class GFramesEngine extends SparqlEngine {
     predFreq = Stats.predicateCounts(triples)
   }
 
-  override def execute(q: Query): DataFrame = {
-    require(supports(q), s"${info.name} supports plain BGP only")
+  override protected def answer(q: Query): DataFrame = {
     val ps = q.groups.head.patterns
     // optimization 1: non-descending predicate frequency (rarest first)
     val ordered = ps.sortBy(Stats.predicateSize(predFreq, _))

@@ -49,26 +49,18 @@ final class SubgraphMatch extends BindingEngine {
     // one aggregateMessages round per BGP triple: sendMsg matches the
     // pattern against every graph triple and ships the binding to the
     // subject vertex; mergeMsg concatenates
-    val mtPerTp: Seq[RDD[(VertexId, Seq[Binding])]] =
-      tps.map { tp =>
-        graph.aggregateMessages[Seq[Binding]](
-          ctx =>
-            Bindings.bindTriple(tp, ctx.srcAttr, ctx.attr, ctx.dstAttr)
-              .foreach(b => ctx.sendToSrc(Seq(b))),
-          _ ++ _,
-        )
-      }
+    def mt(tp: TriplePattern): RDD[(VertexId, Seq[Binding])] =
+      graph.aggregateMessages[Seq[Binding]](
+        ctx =>
+          Bindings.bindTriple(tp, ctx.srcAttr, ctx.attr, ctx.dstAttr)
+            .foreach(b => ctx.sendToSrc(Seq(b))),
+        _ ++ _,
+      )
 
     // per-vertex MT accumulation: patterns anchored at the same subject
     // term merge their tables at that vertex (subject stars stay local)
-    val bySubject: Map[Term, Seq[Int]] =
-      tps.zipWithIndex.groupBy(_._1.s).view.mapValues(_.map(_._2)).toMap
-    val groupTables: Seq[(RDD[Binding], Set[String])] =
-      bySubject.toSeq.sortBy(_._2.min).map { case (_, idxs) =>
-        val merged = idxs.map(mtPerTp).reduce(Bindings.mergeTables[VertexId])
-        val vars = idxs.flatMap(i => tps(i).vars).toSet
-        (merged.flatMap(_._2), vars)
-      }
+    val groupTables: Seq[(RDD[Binding], Set[String])] = Shapes.stars(tps).map(star =>
+      (star.map(mt).reduce(Bindings.mergeTables[VertexId]).flatMap(_._2), star.flatMap(_.vars).toSet))
 
     // "join the final MT tables of the end vertices" for the answer
     Bindings.joinAll(groupTables)

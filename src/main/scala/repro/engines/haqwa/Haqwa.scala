@@ -80,7 +80,7 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
     // every non-seed fragment are registered for the local fast path.
     val replParts = scala.collection.mutable.ArrayBuffer.empty[RDD[(Long, (Long, Long, Long))]]
     workload.filter(_.isPlainBgp).foreach { q =>
-      val frags = fragments(q.groups.head.patterns)
+      val frags = Shapes.stars(q.groups.head.patterns)
       if (frags.sizeIs == 1) workloadShapes += canonical(q.groups.head.patterns)
       else {
         val seed = frags.head
@@ -118,13 +118,6 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
     store.count()
   }
 
-  /** Star fragments: consecutive run-groups of patterns sharing a subject term. */
-  private def fragments(ps: Seq[TriplePattern]): Seq[Seq[TriplePattern]] = {
-    val order = scala.collection.mutable.LinkedHashMap.empty[Term, scala.collection.mutable.ArrayBuffer[TriplePattern]]
-    ps.foreach(tp => order.getOrElseUpdate(tp.s, scala.collection.mutable.ArrayBuffer.empty) += tp)
-    order.values.map(_.toSeq).toSeq
-  }
-
   private def encodeTp(tp: TriplePattern): Option[ETp] = {
     def e(t: Term): Option[ETerm] = t match {
       case Var(n)   => Some(Right(n))
@@ -152,8 +145,8 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
   }
 
   override protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] =
-    if (workloadShapes.contains(canonical(ps))) evalLocally(fragments(ps).flatten)
-    else Bindings.joinAll(fragments(ps).map(f => (evalLocally(f), f.flatMap(_.vars).toSet)))
+    if (workloadShapes.contains(canonical(ps))) evalLocally(Shapes.stars(ps).flatten)
+    else Bindings.joinAll(Shapes.stars(ps).map(f => (evalLocally(f), f.flatMap(_.vars).toSet)))
 }
 
 /** Executor-side helpers: kept on the companion so Spark closures never
@@ -172,7 +165,7 @@ object Haqwa {
 
     /** Backtracking BGP evaluation over this fragment. Patterns must be
       * ordered so every pattern after the first in its star fragment has
-      * its subject bound (fragments() + seed-first gives that). A constant
+      * its subject bound (`Shapes.stars`, seed first, gives that). A constant
       * or unbound subject ranges over `own` only, so each match is seeded
       * in one partition; a bound subject is looked up in `own`, then in
       * `replicas`.

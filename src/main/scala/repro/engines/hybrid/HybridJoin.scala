@@ -63,7 +63,7 @@ final class HybridJoin(broadcastThreshold: Long = 10000L) extends SparqlEngine {
     stats = Stats.compute(triples)
   }
 
-  override def execute(q: Query): DataFrame = executeWith(q, Hybrid)
+  override protected def answer(q: Query): DataFrame = executeWith(q, Hybrid)
 
   /** Answers `q` with one of the four strategies [21] compares. */
   def executeWith(q: Query, s: Strategy): DataFrame = {

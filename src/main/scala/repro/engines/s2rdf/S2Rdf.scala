@@ -141,7 +141,7 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
   /** The Spark SQL string S2RDF runs for `q`; public for white-box tests. */
   def toSql(q: Query): String = ReferenceSql.toSql(q, layout)
 
-  override def execute(q: Query): DataFrame = spark.sql(toSql(q))
+  override protected def answer(q: Query): DataFrame = spark.sql(toSql(q))
 
   /** (corr, p1, p2) → (|ExtVP_corr(p1|p2)|, |VP_p1|) for every predicate
     * pair, whatever the SF threshold admits; public for white-box tests.

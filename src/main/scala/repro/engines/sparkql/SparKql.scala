@@ -93,31 +93,16 @@ final class SparKql extends BindingEngine {
       val term = dataByTerm.keys.head
       return Some(Plan(TreeNode(term, Seq.empty), dataByTerm))
     }
-    // build the undirected term graph and check it is a tree
-    val nodes = objTps.flatMap(tp => Seq(tp.s, tp.o)).distinct
-    if (objTps.sizeIs != nodes.size - 1) return None
-    if (objTps.exists(tp => tp.s == tp.o)) return None
-    val adj = scala.collection.mutable.Map.empty[Term, Vector[(Term, TriplePattern)]]
-    objTps.foreach { tp =>
-      adj(tp.s) = adj.getOrElse(tp.s, Vector.empty) :+ (tp.o, tp)
-      adj(tp.o) = adj.getOrElse(tp.o, Vector.empty) :+ (tp.s, tp)
-    }
-    // every data pattern must hang off a tree node
-    if (!dataByTerm.keys.forall(nodes.contains)) return None
-    // BFS from the first pattern's subject — the paper's plan construction
-    val root = objTps.head.s
-    val visited = scala.collection.mutable.Set[Term](root)
-    def grow(t: Term): TreeNode = {
-      val kids = adj.getOrElse(t, Vector.empty).collect {
-        case (child, tp) if !visited.contains(child) =>
-          visited += child
-          (child, tp)
-      }
-      TreeNode(t, kids.map { case (c, tp) => (grow(c), tp) })
-    }
-    val tree = grow(root)
-    if (visited.size != nodes.size) return None // disconnected
-    Some(Plan(tree, dataByTerm))
+    // the object-property patterns must form a tree, and every data
+    // pattern must hang off one of its nodes
+    val nodes = objTps.flatMap(tp => Seq(tp.s, tp.o)).toSet
+    if (!Shapes.isTree(objTps) || !dataByTerm.keys.forall(nodes)) return None
+    // the plan tree from the first pattern's subject: a node's children are
+    // the patterns that touch it, except the one it was reached by
+    def grow(t: Term, via: Option[TriplePattern]): TreeNode =
+      TreeNode(t, objTps.filter(tp => !via.contains(tp) && (tp.s == t || tp.o == t))
+        .map(tp => (grow(if (tp.s == t) tp.o else tp.s, Some(tp)), tp)))
+    Some(Plan(grow(objTps.head.s, None), dataByTerm))
   }
 
   override def supports(q: Query): Boolean = q.isPlainBgp && plan(q.groups.head.patterns).isDefined

@@ -65,9 +65,7 @@ final class SparqlGx extends BindingEngine {
       vertical.get(p) match {
         case None => spark.sparkContext.emptyRDD[Binding]
         case Some(so) =>
-          so.flatMap { case (s, o) =>
-            Bindings.bindTriple(TriplePattern(tp.s, Const(p), tp.o), s, p, o)
-          }
+          so.flatMap { case (s, o) => Bindings.bindTriple(tp, s, p, o) }
       }
     case None => Bindings.matchPattern(allTriples, tp)
   }

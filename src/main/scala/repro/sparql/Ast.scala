@@ -29,10 +29,6 @@ final case class TriplePattern(s: Term, p: Term, o: Term) {
   def varSet: Set[String] = vars.toSet
   /** Bound (constant) predicate, if any — the common fast path. */
   def predConst: Option[String] = p match { case Const(v) => Some(v); case _ => None }
-  def render: String = terms.map {
-    case Var(n)   => s"?$n"
-    case Const(v) => if (v.exists(_.isWhitespace)) s""""$v"""" else v
-  }.mkString(" ", " ", " .")
 }
 
 /** Boolean expressions allowed inside FILTER(...). */

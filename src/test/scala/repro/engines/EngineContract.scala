@@ -38,6 +38,11 @@ abstract class EngineContract(engineName: String, mkEngine: () => SparqlEngine)
     assert(Set("BGP", "BGP+").contains(i.sparqlFragment))
   }
 
+  test(s"$engineName refuses execute() before load() with a clear error") {
+    val e = intercept[IllegalArgumentException](mkEngine().execute(Battery.all.head.query))
+    assert(e.getMessage.contains("load()"), e.getMessage)
+  }
+
   for (q <- Battery.all) {
     test(s"$engineName answers '${q.name}' exactly as the oracle") {
       assume(engine.supports(q.query), s"${q.name} outside ${engineName}'s fragment")

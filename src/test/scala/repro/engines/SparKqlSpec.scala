@@ -15,8 +15,11 @@ class SparKqlSpec extends EngineContract("Spar(k)ql", () => new SparKql()) {
 
   test("cyclic BGPs are not supported (vertex-program plan is a tree)") {
     assert(!engine.supports(Battery.bgp.find(_.name == "complex-cycle").get.query))
-    assert(!engine.supports(Parser.parse(
-      "SELECT ?a ?b WHERE { ?a follows ?b . ?b follows ?a }")))
+    for (bgp <- Seq(
+      "?a follows ?b . ?b follows ?a",
+      "?a follows ?b . ?c likes ?d", // disconnected
+      "?a follows ?a . ?a name ?n",  // self-loop
+    )) assert(!engine.supports(Parser.parse(s"SELECT * WHERE { $bgp }")), bgp)
   }
 
   test("variable predicates are not supported") {

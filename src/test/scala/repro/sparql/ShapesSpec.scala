@@ -25,6 +25,27 @@ class ShapesSpec extends AnyFunSuite {
     assert(shape("SELECT ?a ?b ?c WHERE { ?a follows ?b . ?a livesIn ?c . ?b livesIn ?c }") ==
       Shapes.Complex)
   }
+  private def bgp(s: String) = Parser.parse(s"SELECT * WHERE { $s }").groups.head.patterns
+
+  test("stars group patterns by subject in order of first appearance") {
+    val ps = bgp("?a follows ?b . ?b name ?n . ?a age ?x . ?b age ?y . ?c likes ?b")
+    assert(Shapes.stars(ps) == Seq(Seq(ps(0), ps(2)), Seq(ps(1), ps(3)), Seq(ps(4))))
+  }
+  test("isTree is false for two edges between two nodes, a self-loop, a disconnected BGP and complex-cycle") {
+    import repro.harness.Battery
+    val complexCycle = Battery.bgp.find(_.name == "complex-cycle").get.query.groups.head.patterns
+    for (ps <- Seq(
+      "?a follows ?b . ?b follows ?a",
+      "?a follows ?b . ?a likes ?b",
+      "?a follows ?a",
+      "?a follows ?a . ?a name ?n",
+      "?a follows ?b . ?c likes ?d",
+      "?a follows ?b . ?b follows ?a . ?c likes ?d", // one edge fewer than nodes, yet disconnected
+    ).map(bgp) :+ complexCycle) assert(!Shapes.isTree(ps), ps)
+  }
+  test("isTree is true for a tree with a constant leaf") {
+    assert(Shapes.isTree(bgp("?a follows ?b . ?b livesIn city3 . ?a name ?n")))
+  }
   test("classification of battery queries is stable") {
     import repro.harness.Battery
     assert(Battery.bgp.find(_.name == "star-3").get.shape == Shapes.Star)
