@@ -1,6 +1,6 @@
 package repro.engines.graphxsgm
 
-import org.apache.spark.graphx.{Graph, VertexId}
+import org.apache.spark.graphx.{Graph, VertexRDD}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import repro.core._
@@ -49,7 +49,7 @@ final class SubgraphMatch extends BindingEngine {
     // one aggregateMessages round per BGP triple: sendMsg matches the
     // pattern against every graph triple and ships the binding to the
     // subject vertex; mergeMsg concatenates
-    def mt(tp: TriplePattern): RDD[(VertexId, Seq[Binding])] =
+    def mt(tp: TriplePattern): VertexRDD[Seq[Binding]] =
       graph.aggregateMessages[Seq[Binding]](
         ctx =>
           Bindings.bindTriple(tp, ctx.srcAttr, ctx.attr, ctx.dstAttr)
@@ -59,8 +59,8 @@ final class SubgraphMatch extends BindingEngine {
 
     // per-vertex MT accumulation: patterns anchored at the same subject
     // term merge their tables at that vertex (subject stars stay local)
-    val groupTables: Seq[(RDD[Binding], Set[String])] = Shapes.stars(tps).map(star =>
-      (star.map(mt).reduce(Bindings.mergeTables[VertexId]).flatMap(_._2), star.flatMap(_.vars).toSet))
+    val groupTables = Shapes.stars(tps).map(star =>
+      Bindings.Rows(star.map(mt).reduce(Bindings.mergeTables).flatMap(_._2), star.flatMap(_.vars).toSet))
 
     // "join the final MT tables of the end vertices" for the answer
     Bindings.joinAll(groupTables)

@@ -146,7 +146,7 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
 
   override protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] =
     if (workloadShapes.contains(canonical(ps))) evalLocally(Shapes.stars(ps).flatten)
-    else Bindings.joinAll(Shapes.stars(ps).map(f => (evalLocally(f), f.flatMap(_.vars).toSet)))
+    else Bindings.joinAll(Shapes.stars(ps).map(f => Bindings.Rows(evalLocally(f), f.flatMap(_.vars).toSet)))
 }
 
 /** Executor-side helpers: kept on the companion so Spark closures never

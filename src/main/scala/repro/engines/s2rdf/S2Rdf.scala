@@ -66,30 +66,39 @@ final class S2Rdf(sfThreshold: Double = 0.75) extends SparqlEngine {
     val t1 = triples.as("t1")
     val subj = triples.select(col("p") as "p2", col("s") as "k").distinct().as("t2")
     val obj  = triples.select(col("p") as "p2", col("o") as "k").distinct().as("t2")
-    def sizes(joinKey: String, right: DataFrame): Map[(String, String), Long] =
-      t1.join(right, col(s"t1.$joinKey") === col("t2.k") && col("t1.p") =!= col("t2.p2"))
+    def sizes(joinKey: String, right: DataFrame, samePredicate: Boolean): Map[(String, String), Long] = {
+      val on = col(s"t1.$joinKey") === col("t2.k")
+      t1.join(right, if (samePredicate) on else on && col("t1.p") =!= col("t2.p2"))
         .groupBy(col("t1.p"), col("t2.p2")).count()
         .collect().map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
+    }
+    // ExtVP_SS(p|p) is VP_p itself; OS and SO reduce a predicate by itself
+    // too, as a path ?a p ?b . ?b p ?c does
     extSizes =
-      sizes("s", subj).map { case ((a, b), n) => ("SS", a, b) -> n } ++
-      sizes("o", subj).map { case ((a, b), n) => ("OS", a, b) -> n } ++
-      sizes("s", obj).map { case ((a, b), n) => ("SO", a, b) -> n }
+      sizes("s", subj, samePredicate = false).map { case ((a, b), n) => ("SS", a, b) -> n } ++
+      sizes("o", subj, samePredicate = true).map { case ((a, b), n) => ("OS", a, b) -> n } ++
+      sizes("s", obj, samePredicate = true).map { case ((a, b), n) => ("SO", a, b) -> n }
   }
 
   private def vpView(p: String): String = uniqueView(s"vp_${sanitize(p)}")
 
-  /** Lazily materialize ExtVP_corr(p1|p2) as a temp view; memoized. */
+  /** Lazily materialize ExtVP_corr(p1|p2) as a temp view; memoized. The
+    * semi-join broadcasts p2's join column: a shuffle inside a cached plan
+    * keeps `spark.sql.shuffle.partitions` partitions, since adaptive
+    * execution does not coalesce it, so a shuffled semi-join would run
+    * more tasks per stage than there are cores.
+    */
   private def extView(corr: String, p1: String, p2: String): String =
     materialized.getOrElseUpdate((corr, p1, p2), {
       val name = uniqueView(s"extvp_${corr.toLowerCase}_${sanitize(p1)}__${sanitize(p2)}")
-      val left = triples.where(col("p") === p1).select("s", "o")
-      val right = triples.where(col("p") === p2)
-      val reduced = corr match {
-        case "SS" => left.join(right.select(col("s") as "k").distinct(), left("s") === col("k"), "leftsemi")
-        case "OS" => left.join(right.select(col("s") as "k").distinct(), left("o") === col("k"), "leftsemi")
-        case "SO" => left.join(right.select(col("o") as "k").distinct(), left("s") === col("k"), "leftsemi")
+      val (leftKey, rightKey) = corr match {
+        case "SS" => ("s", "s")
+        case "OS" => ("o", "s")
+        case "SO" => ("s", "o")
       }
-      reduced.cache().createOrReplaceTempView(name)
+      val left = triples.where(col("p") === p1).select("s", "o")
+      val keys = triples.where(col("p") === p2).select(col(rightKey) as "k")
+      left.join(broadcast(keys), left(leftKey) === keys("k"), "leftsemi").cache().createOrReplaceTempView(name)
       name
     })
 

@@ -52,7 +52,7 @@ final class S2X(maxIterations: Int = 30) extends BindingEngine {
     val parts =
       if (!positions.prunable)
         tps.map { tp =>
-          (graph.triplets.flatMap(t => Bindings.bindTriple(tp, t.srcAttr, t.attr, t.dstAttr)), tp.varSet)
+          Bindings.Rows(graph.triplets.flatMap(t => Bindings.bindTriple(tp, t.srcAttr, t.attr, t.dstAttr)), tp.varSet)
         }
       else {
         // assembly: per pattern, the surviving edge matches, joined data-parallel
@@ -63,7 +63,7 @@ final class S2X(maxIterations: Int = 30) extends BindingEngine {
               Bindings.bindTriple(tp, t.srcAttr.value, t.attr, t.dstAttr.value)
             else None
           }
-          (bindings, tp.varSet)
+          Bindings.Rows(bindings, tp.varSet)
         }
       }
     Bindings.joinAll(parts)

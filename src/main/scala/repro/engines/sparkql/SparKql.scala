@@ -118,14 +118,13 @@ final class SparKql extends BindingEngine {
         val vals = props.getOrElse(tp.predConst.get, Seq.empty)
         rows.flatMap(r => vals.flatMap(Bindings.unify(tp.o, _, r)))
       }
-    }.filter(_._2.nonEmpty).asInstanceOf[VertexRDD[Seq[Binding]]]
+    }.filter(_._2.nonEmpty)
 
   /** Evaluate the subtree rooted at `node` bottom-up; returns each vertex's
     * table of sub-results for that subtree.
     */
-  private def evalNode(node: TreeNode, dataByTerm: Map[Term, Seq[TriplePattern]]): RDD[(VertexId, Seq[Binding])] = {
-    var table: RDD[(VertexId, Seq[Binding])] =
-      localTables(node.term, dataByTerm.getOrElse(node.term, Seq.empty))
+  private def evalNode(node: TreeNode, dataByTerm: Map[Term, Seq[TriplePattern]]): VertexRDD[Seq[Binding]] = {
+    var table = localTables(node.term, dataByTerm.getOrElse(node.term, Seq.empty))
     for ((child, tp) <- node.children) {
       val childTable = evalNode(child, dataByTerm)
       val childIsObject = tp.o == child.term // tp = (parent p child) ?

@@ -46,33 +46,40 @@ final class SparkRdf extends BindingEngine {
 
   private val TypeP = RdfSynth.TypeProperty
 
+  /** An index row of a subject: (p, o, classes(s), classes(o)). */
+  private type Row = (String, String, Set[String], Set[String])
+
   /** Class index: subject → its classes (from rdf:type triples). */
   private var classesOf: RDD[(String, Set[String])] = _
-  /** CRC index rows: (p, s, o, classes(s), classes(o)) for non-type triples. */
-  private var crc: RDD[(String, String, String, Set[String], Set[String])] = _
-  /** rdf:type triples in CRC row form, subject classes attached. */
-  private var typeRows: RDD[(String, String, String, Set[String], Set[String])] = _
+  /** CRC index: subject → its rows, one per non-type triple. */
+  private var crc: RDD[(String, Row)] = _
+  /** rdf:type triples as rows, read off the class index. */
+  private var typeRows: RDD[(String, Row)] = _
   private var predSizes: Map[String, Long] = Map.empty
 
+  /** The MESG indexes are keyed by subject and hash-partitioned by
+    * [[Bindings.perCore]] (Table II's Hash-sbj), so a join on a subject
+    * variable reads them in place.
+    */
   override protected def build(triples: DataFrame): Unit = {
     val typeP = TypeP // local copy: closures must not capture the engine
+    val bySubject = Bindings.perCore(triples.sparkSession.sparkContext)
     val raw = triples.rdd.map(r => (r.getString(0), r.getString(1), r.getString(2)))
     classesOf = raw.filter(_._2 == typeP)
       .map { case (s, _, c) => (s, c) }
-      .groupByKey().mapValues(_.toSet)
+      .groupByKey(bySubject).mapValues(_.toSet)
       .persist(StorageLevel.MEMORY_AND_DISK)
-    typeRows = classesOf
-      .flatMap { case (s, cs) => cs.map(c => (typeP, s, c, cs, Set.empty[String])) }
+    typeRows = classesOf.flatMapValues(cs => cs.map(c => (typeP, c, cs, Set.empty[String])))
+    // the object's classes first: the subject's join comes last and leaves
+    // the rows hashed by subject, as the class index is
+    crc = raw.filter(_._2 != typeP)
+      .map { case (s, p, o) => (o, (s, p)) }
+      .leftOuterJoin(classesOf, bySubject)
+      .map { case (o, ((s, p), oc)) => (s, (p, o, oc.getOrElse(Set.empty[String]))) }
+      .leftOuterJoin(classesOf, bySubject)
+      .mapValues { case ((p, o, oc), sc) => (p, o, sc.getOrElse(Set.empty[String]), oc) }
       .persist(StorageLevel.MEMORY_AND_DISK)
-    val rel = raw.filter(_._2 != typeP)
-    crc = rel
-      .map { case (s, p, o) => (s, (p, o)) }
-      .leftOuterJoin(classesOf)
-      .map { case (s, ((p, o), sc)) => (o, (s, p, sc.getOrElse(Set.empty[String]))) }
-      .leftOuterJoin(classesOf)
-      .map { case (o, ((s, p, sc), oc)) => (p, s, o, sc, oc.getOrElse(Set.empty[String])) }
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    (crc ++ typeRows).count()
+    crc.count()
     predSizes = Stats.predicateCounts(triples)
   }
 
@@ -91,29 +98,35 @@ final class SparkRdf extends BindingEngine {
   }
 
   /** Match one non-type pattern against the most specific MESG index the
-    * variable classes allow (CRC / CR / RC / relation).
+    * variable classes allow (CRC / CR / RC / relation). The bindings stay
+    * keyed and partitioned by subject, so a subject variable joins in place.
     */
-  private def matchTp(tp: TriplePattern, constraints: Map[String, Set[String]]): RDD[Binding] = {
+  private def matchTp(tp: TriplePattern, constraints: Map[String, Set[String]]): Bindings.Operand = {
     val sReq: Set[String] = tp.s.varName.flatMap(constraints.get).getOrElse(Set.empty)
     val oReq: Set[String] = tp.o.varName.flatMap(constraints.get).getOrElse(Set.empty)
     val byPred = tp.predConst match {
       case Some(TypeP) => typeRows // rdf:type kept as pattern (var class etc.)
-      case Some(p)     => crc.filter(_._1 == p)
+      case Some(p)     => crc.filter(_._2._1 == p)
       case None        => crc ++ typeRows
     }
-    byPred.flatMap { case (p, s, o, sc, oc) =>
+    val bySubject = byPred.mapPartitions(_.flatMap { case (s, (p, o, sc, oc)) =>
       if (sReq.subsetOf(sc) && oReq.subsetOf(oc))
-        Bindings.bindTriple(tp, s, p, o)
+        Bindings.bindTriple(tp, s, p, o).map(s -> _)
       else None
+    }, preservesPartitioning = true)
+    tp.s match {
+      case Var(x) => Bindings.Keyed(bySubject, x, tp.varSet)
+      case _      => Bindings.Rows(bySubject.values, tp.varSet)
     }
   }
 
   /** The RDSGs are binding RDDs: one per pattern in variable order, then
     * the fully-constant guards, then the class-only variables, joined
     * left to right by [[Bindings.joinAll]], whose keyed joins are the
-    * dynamic pre-partitioning — both operands hash-partitioned on the
+    * dynamic pre-partitioning — every operand hash-partitioned on the
     * shared variables, so "records sharing the same variable value will be
-    * read into the same partition".
+    * read into the same partition". An RDSG keyed by its subject variable
+    * already is, so a subject star joins without a shuffle.
     */
   override protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] = {
     val (constraints, tps) = classConstraints(ps)
@@ -129,15 +142,18 @@ final class SparkRdf extends BindingEngine {
       remaining --= mine
       mine
     }
-    val patterns = ordered.map(tp => (matchTp(tp, constraints), tp.varSet))
+    val patterns = ordered.map(matchTp(_, constraints))
     // fully-constant patterns join as zero-variable operands: a product
     // with their zero or one empty binding, on one partition
-    val guards = remaining.map(tp => (matchTp(tp, constraints).coalesce(1), Set.empty[String]))
+    val guards = remaining.map(tp => Bindings.Rows(matchTp(tp, constraints).rows.coalesce(1), Set.empty))
     // variables constrained by class only (no other pattern) come straight
     // from the class index
     val classOnly = constraints.keys.filterNot(v => tps.exists(_.vars.contains(v))).map { v =>
       val req = constraints(v)
-      (classesOf.collect { case (s, cs) if req.subsetOf(cs) => Map(v -> s): Binding }, Set(v))
+      val members = classesOf.mapPartitions(_.collect {
+        case (s, cs) if req.subsetOf(cs) => s -> (Map(v -> s): Binding)
+      }, preservesPartitioning = true)
+      Bindings.Keyed(members, v, Set(v))
     }
     Bindings.joinAll(patterns ++ guards ++ classOnly)
   }

@@ -71,6 +71,6 @@ final class SparqlGx extends BindingEngine {
   }
 
   override protected def matchBgp(ps: Vector[TriplePattern]): RDD[Binding] = {
-    Bindings.joinAll(stats.reorder(ps).map(tp => (matchOne(tp), tp.varSet)))
+    Bindings.joinAll(stats.reorder(ps).map(tp => Bindings.Rows(matchOne(tp), tp.varSet)))
   }
 }

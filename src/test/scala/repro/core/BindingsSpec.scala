@@ -1,7 +1,10 @@
 package repro.core
 
+import org.apache.spark.ShuffleDependency
+import org.apache.spark.graphx.VertexRDD
+import org.apache.spark.rdd.RDD
 import repro.SparkSpec
-import repro.core.Bindings.Binding
+import repro.core.Bindings.{Binding, Keyed, Rows}
 import repro.sparql.{Cmp, Const, TriplePattern, Var}
 
 class BindingsSpec extends SparkSpec {
@@ -16,6 +19,14 @@ class BindingsSpec extends SparkSpec {
     ("p3", "follows", "p3"),
   )
   private lazy val triplesRdd = spark.sparkContext.parallelize(triples)
+
+  /** The bag of an RDD's bindings: each distinct binding and its count. */
+  private def bag(r: RDD[Binding]): Map[Binding, Int] =
+    r.collect().groupBy(identity).view.mapValues(_.length).toMap
+
+  /** The shuffles in an RDD's lineage. */
+  private def shuffles(r: RDD[_]): Int =
+    r.dependencies.map(d => (if (d.isInstanceOf[ShuffleDependency[_, _, _]]) 1 else 0) + shuffles(d.rdd)).sum
 
   test("matchPattern binds variables at every position") {
     val out = Bindings.matchPattern(triplesRdd, TriplePattern(Var("s"), Const("name"), Var("n")))
@@ -94,9 +105,9 @@ class BindingsSpec extends SparkSpec {
 
   test("joinAll chains joins over shared variables") {
     val parts = Seq(
-      (rdd(Map("a" -> "1", "b" -> "2")), Set("a", "b")),
-      (rdd(Map("b" -> "2", "c" -> "3")), Set("b", "c")),
-      (rdd(Map("c" -> "3", "d" -> "4")), Set("c", "d")),
+      Rows(rdd(Map("a" -> "1", "b" -> "2")), Set("a", "b")),
+      Rows(rdd(Map("b" -> "2", "c" -> "3")), Set("b", "c")),
+      Rows(rdd(Map("c" -> "3", "d" -> "4")), Set("c", "d")),
     )
     assert(Bindings.joinAll(parts).collect().toSet ==
       Set(Map("a" -> "1", "b" -> "2", "c" -> "3", "d" -> "4")))
@@ -116,14 +127,60 @@ class BindingsSpec extends SparkSpec {
   }
 
   test("mergeTables merges compatible bindings per key and drops keys left empty") {
-    val l = spark.sparkContext.parallelize(Seq(
+    val l = VertexRDD(spark.sparkContext.parallelize(Seq(
       1L -> Seq(Map("x" -> "1", "y" -> "a"), Map("x" -> "2", "y" -> "b")),
       2L -> Seq(Map("x" -> "1")),
-      3L -> Seq(Map("x" -> "1"))))
-    val r = spark.sparkContext.parallelize(Seq(
+      3L -> Seq(Map("x" -> "1")))))
+    val r = VertexRDD(spark.sparkContext.parallelize(Seq(
       1L -> Seq(Map("x" -> "1", "z" -> "c")),
-      2L -> Seq(Map("x" -> "9", "z" -> "d"))))
+      2L -> Seq(Map("x" -> "9", "z" -> "d")))))
     assert(Bindings.mergeTables(l, r).collect().toMap ==
       Map(1L -> Seq(Map("x" -> "1", "y" -> "a", "z" -> "c"))))
+  }
+
+  test("joinAll co-groups a run of same-key operands into the bag chained joinOns give") {
+    // x = 1 matches 2 × 2 × 2 bindings; x = 2 misses the third operand
+    val a = rdd(Map("x" -> "1", "a" -> "1"), Map("x" -> "1", "a" -> "2"), Map("x" -> "2", "a" -> "3"))
+    val b = rdd(Map("x" -> "1", "b" -> "1"), Map("x" -> "1", "b" -> "1"), Map("x" -> "2", "b" -> "2"))
+    val c = rdd(Map("x" -> "1", "c" -> "1"), Map("x" -> "1", "c" -> "2"), Map("x" -> "3", "c" -> "3"))
+    val joined = Bindings.joinAll(Seq(Rows(a, Set("x", "a")), Rows(b, Set("x", "b")), Rows(c, Set("x", "c"))))
+    val chained = Bindings.joinOn(Bindings.joinOn(a, b, Seq("x")), c, Seq("x"))
+    assert(joined.count() == 8)
+    assert(bag(joined) == bag(chained))
+    // one join level: each operand is shuffled once, the product is not
+    assert(shuffles(joined) == 3)
+  }
+
+  test("joinAll starts a new level where an operand shares a different key") {
+    val a = rdd(Map("x" -> "1", "a" -> "1"), Map("x" -> "2", "a" -> "2"))
+    val b = rdd(Map("x" -> "1", "b" -> "1"), Map("x" -> "2", "b" -> "2"))
+    val c = rdd(Map("b" -> "1", "c" -> "1"), Map("b" -> "1", "c" -> "2"))
+    val joined = Bindings.joinAll(Seq(Rows(a, Set("x", "a")), Rows(b, Set("x", "b")), Rows(c, Set("b", "c"))))
+    assert(bag(joined) == bag(Bindings.joinOn(Bindings.joinOn(a, b, Seq("x")), c, Seq("b"))))
+    assert(joined.count() == 2)
+    // a and b at the first level, their join and c at the second
+    assert(shuffles(joined) == 4)
+  }
+
+  test("joinAll joins on a two-variable key") {
+    val a = rdd(Map("x" -> "1", "y" -> "1", "a" -> "1"), Map("x" -> "1", "y" -> "2", "a" -> "2"))
+    val b = rdd(Map("x" -> "1", "y" -> "1", "b" -> "1"), Map("x" -> "2", "y" -> "1", "b" -> "2"))
+    val joined = Bindings.joinAll(Seq(Rows(a, Set("x", "y", "a")), Rows(b, Set("x", "y", "b"))))
+    assert(joined.collect().toSeq == Seq(Map("x" -> "1", "y" -> "1", "a" -> "1", "b" -> "1")))
+  }
+
+  test("joinAll reads an operand keyed and partitioned on the join key in place") {
+    val perCore = Bindings.perCore(spark.sparkContext)
+    def keyed(bs: Binding*) = Keyed(rdd(bs: _*).keyBy(_("x")).partitionBy(perCore), "x", bs.head.keySet)
+    val a = keyed(Map("x" -> "1", "a" -> "1"), Map("x" -> "2", "a" -> "2"))
+    val b = keyed(Map("x" -> "1", "b" -> "1"), Map("x" -> "3", "b" -> "3"))
+    val c = Rows(rdd(Map("x" -> "1", "c" -> "1")), Set("x", "c"))
+    val joined = Bindings.joinAll(Seq(a, b, c))
+    assert(joined.collect().toSeq == Seq(Map("x" -> "1", "a" -> "1", "b" -> "1", "c" -> "1")))
+    // only the unkeyed operand is shuffled by the join
+    assert(shuffles(joined) == shuffles(a.byKey) + shuffles(b.byKey) + 1)
+    // a keyed operand joined on another variable is keyed afresh
+    val other = Rows(rdd(Map("a" -> "1", "d" -> "!")), Set("a", "d"))
+    assert(Bindings.joinAll(Seq(other, a)).collect().toSeq == Seq(Map("x" -> "1", "a" -> "1", "d" -> "!")))
   }
 }

@@ -30,10 +30,23 @@ class S2RdfSpec extends EngineContract("S2RDF", () => new S2Rdf(sfThreshold = 0.
     assert(stats.values.exists { case (ext, vpSize) => 0L < ext && ext < vpSize }, stats)
   }
 
+  test("a predicate's OS and SO self-reductions exist") {
+    // few persons are followed, so few follows edges start at a followed
+    // person: ExtVP_SO(follows|follows) is a real reduction
+    val stats = s2rdf.reductionStats
+    assert(stats.get(("SO", "follows", "follows")).exists { case (ext, vpSize) => 0L < ext && ext < vpSize }, stats)
+    assert(stats.contains(("OS", "follows", "follows")), stats)
+  }
+
+  test("linear-2 reads the SO self-reduction for its second pattern") {
+    val sql = s2rdf.toSql(Battery.bgp.find(_.name == "linear-2").get.query)
+    assert(sql.contains("extvp_so_follows__follows"), sql)
+  }
+
   test("SF threshold 0 disables ExtVP (plain VP), same results") {
     // the OPTIONAL queries guard the per-BGP layout: an ExtVP reduction is
     // valid only against a partner pattern of its own BGP
-    val names = Seq("star-3", "path-then-star", "snowflake",
+    val names = Seq("star-3", "linear-2", "linear-3", "path-then-star", "snowflake",
       "optional-likes", "optional-after-filter", "optional-chain")
     for {
       q <- names.map(n => Battery.all.find(_.name == n).get)

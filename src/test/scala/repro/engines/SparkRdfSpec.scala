@@ -41,4 +41,18 @@ class SparkRdfSpec extends EngineContract("SparkRDF", () => new SparkRdf()) {
     for ((name, q) <- queries)
       assert(JobCount(spark.sparkContext)(engine.execute(q))._2 == 0, name)
   }
+
+  test("the Hash-sbj store answers star-3 in one stage without a shuffle") {
+    // every pattern's bindings stay keyed and partitioned by subject, as
+    // the CRC index was hashed at load, so the star joins in place
+    val q = Battery.bgp.find(_.name == "star-3").get.query
+    val fresh = new SparkRdf()
+    fresh.load(triples)
+    val df = fresh.execute(q)
+    val (_, work) = JobCount.work(spark.sparkContext)(df.collect())
+    assert(work.stages == 1, work)
+    assert(work.tasks <= spark.sparkContext.defaultParallelism, work)
+    assert(work.shuffleWriteBytes == 0L, work)
+    Oracle.assertEquivalent(df, ReferenceSql.toSql(q), "triples" -> triples)
+  }
 }

@@ -25,6 +25,16 @@ class SparqlGxSpec extends EngineContract("SPARQLGX", () => new SparqlGx()) {
     Oracle.assertEquivalent(engine.execute(q.query), ReferenceSql.toSql(q.query), "triples" -> triples)
   }
 
+  test("star-3 joins its three VP tables in one co-group") {
+    // one shuffle-map stage per pattern and one result stage: the star's
+    // joins share one key, so no join output is shuffled again
+    val q = Battery.bgp.find(_.name == "star-3").get.query
+    val fresh = new SparqlGx()
+    fresh.load(triples)
+    val (_, work) = JobCount.work(spark.sparkContext)(fresh.execute(q).collect())
+    assert(work.stages == 4, work)
+  }
+
   test("unknown predicate yields an empty result, not an error") {
     val q = repro.sparql.Parser.parse("SELECT ?s WHERE { ?s nosuchpred ?o }")
     assert(engine.execute(q).count() == 0)
