@@ -62,11 +62,6 @@ object Bindings {
     def rows: RDD[Binding] = byKey.values
   }
 
-  /** Natural join on the given key variables; cartesian when keys is empty. */
-  def joinOn(l: RDD[Binding], r: RDD[Binding], keys: Seq[String]): RDD[Binding] =
-    if (keys.isEmpty) cartesian(l, r)
-    else coGroup(Seq(keyBy(l, keys), keyBy(r, keys)))(product)
-
   /** OPTIONAL: keep every left binding, extend where the right side
     * matches on the shared variables. As in SQL, an unbound key never
     * joins: a left binding that an earlier OPTIONAL left without a key

@@ -1,6 +1,6 @@
 package repro.engines.haqwa
 
-import org.apache.spark.HashPartitioner
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.storage.StorageLevel
@@ -48,7 +48,7 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
   import Haqwa.{ETerm, ETp, Fragment}
 
   private var spark: SparkSession = _
-  private var dict: Dictionary = _
+  private var dict: Broadcast[Dictionary] = _
   /** One subject-indexed [[Fragment]] per hash partition. */
   private var store: RDD[Fragment] = _
   private var workloadShapes: Set[Vector[String]] = Set.empty
@@ -67,46 +67,42 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
 
   override protected def build(triples: DataFrame): Unit = {
     spark = triples.sparkSession
-    dict = Dictionary.encode(triples)
-    val partitioner = new HashPartitioner(spark.sparkContext.defaultParallelism)
-    // Step 1: triples keyed by subject id, hash-partitioned
-    val base = dict.encoded
-      .map { case (s, p, o) => (s, (p, o)) }
+    val sc = spark.sparkContext
+    dict = sc.broadcast(Dictionary(triples.rdd.flatMap(r => Seq(r.getString(0), r.getString(1), r.getString(2)))))
+    val bc = dict // local: the closure must not capture the engine
+    val partitioner = Bindings.perCore(sc)
+    // Step 1: the triples, encoded, keyed by subject id and hash-partitioned
+    val base = triples.rdd
+      .map { r =>
+        val ids = bc.value
+        (ids.id(r.getString(0)).get, (ids.id(r.getString(1)).get, ids.id(r.getString(2)).get))
+      }
       .partitionBy(partitioner)
 
-    // Step 2: workload-aware allocation. For each 2-fragment workload query
-    // with a subject-object link (x p y)(y q z): co-locate every (y q z)
-    // with the partition of x. Only shapes whose replication fully covers
-    // every non-seed fragment are registered for the local fast path.
-    val replParts = scala.collection.mutable.ArrayBuffer.empty[RDD[(Long, (Long, Long, Long))]]
-    workload.filter(_.isPlainBgp).foreach { q =>
-      val frags = Shapes.stars(q.groups.head.patterns)
-      if (frags.sizeIs == 1) workloadShapes += canonical(q.groups.head.patterns)
-      else {
-        val seed = frags.head
-        val covered = frags.tail.forall { frag =>
-          val linkPred = for {
-            fragSubjVar <- frag.head.s.varName
-            link <- seed.find(_.o == Var(fragSubjVar))
-            predId <- link.predConst.flatMap(dict.encodeConst)
-          } yield predId
-          linkPred match {
-            case Some(linkPredId) =>
-              // (x linkPred y) join (y * *) → key replicated triple by x
-              val linkEdges = base.filter(_._2._1 == linkPredId).map { case (x, (_, y)) => (y, x) }
-              replParts += base
-                .join(linkEdges) // (y, ((p2, z), x))
-                .map { case (y, ((p2, z), x)) => (x, (y, p2, z)) }
-              true
-            case None => false
-          }
-        }
-        if (covered) workloadShapes += canonical(q.groups.head.patterns)
+    // Step 2: workload-aware allocation. A workload query is registered
+    // for the local path when each of its non-seed fragments hangs off the
+    // seed by a subject-object link (x p y)(y q z); then every (y q z) is
+    // co-located with the partition of x, by one join over the registered
+    // queries' link predicates.
+    val linkPreds = workload.filter(_.isPlainBgp).flatMap { q =>
+      val seed +: rest = Shapes.stars(q.groups.head.patterns)
+      val links = rest.map { frag =>
+        for {
+          fragSubjVar <- frag.head.s.varName
+          link <- seed.find(_.o == Var(fragSubjVar))
+          predId <- link.predConst.flatMap(bc.value.id)
+        } yield predId
       }
-    }
-    val replicated = spark.sparkContext.union(replParts.toSeq).partitionBy(partitioner)
+      if (links.forall(_.isDefined)) { workloadShapes += canonical(q.groups.head.patterns); links.flatten }
+      else Seq.empty
+    }.toSet
+    val replicated =
+      if (linkPreds.isEmpty) sc.emptyRDD[(Long, (Long, Long, Long))]
+      else base
+        .join(base.filter(t => linkPreds(t._2._1)).map { case (x, (_, y)) => (y, x) }) // (y, ((p2, z), x))
+        .map { case (y, ((p2, z), x)) => (x, (y, p2, z)) }
     store = base
-      .zipPartitions(replicated, preservesPartitioning = true) { (baseIt, replIt) =>
+      .zipPartitions(replicated.partitionBy(partitioner), preservesPartitioning = true) { (baseIt, replIt) =>
         val own = baseIt.toSeq.groupMap(_._1)(_._2)
         // the same triple may be replicated for several seeds in this
         // partition, or already live here: dedupe (RDF graphs are sets)
@@ -121,14 +117,14 @@ final class Haqwa(workload: Seq[Query] = Seq.empty) extends BindingEngine {
   private def encodeTp(tp: TriplePattern): Option[ETp] = {
     def e(t: Term): Option[ETerm] = t match {
       case Var(n)   => Some(Right(n))
-      case Const(v) => dict.encodeConst(v).map(Left(_))
+      case Const(v) => dict.value.id(v).map(Left(_))
     }
     for (s <- e(tp.s); p <- e(tp.p); o <- e(tp.o)) yield ETp(s, p, o)
   }
 
   private def decode(rdd: RDD[Map[String, Long]]): RDD[Binding] = {
-    val values = dict.values // local: the closure must not capture the engine
-    rdd.map(_.map { case (k, id) => k -> values.value(id) })
+    val bc = dict // local: the closure must not capture the engine
+    rdd.map(_.map { case (k, id) => k -> bc.value.value(id) })
   }
 
   /** Every solution of `ps`, evaluated inside each partition's fragment

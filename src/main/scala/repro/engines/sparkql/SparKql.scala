@@ -3,10 +3,9 @@ package repro.engines.sparkql
 import org.apache.spark.graphx._
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.storage.StorageLevel
 import repro.core._
 import repro.core.Bindings.Binding
-import repro.rdf.Dictionary
+import repro.engines.graph.RdfGraph
 import repro.sparql._
 
 /** Spar(k)ql [12] (Gombos, Rácz, Kiss, FiCloud WS 2016): SPARQL evaluation
@@ -54,28 +53,14 @@ final class SparKql extends BindingEngine {
       .select("p").distinct().as[String].collect().toSet
     dataProps = Stats.predicateCounts(triples).keySet -- resourcePreds
 
-    val dataTriples = triples.where($"p".isin(dataProps.toSeq: _*))
-    val objTriples = triples.where(!$"p".isin(dataProps.toSeq: _*))
-
-    val nodeProps: RDD[(String, Map[String, Seq[String]])] = dataTriples.rdd
-      .map(r => (r.getString(0), (r.getString(1), r.getString(2))))
-      .groupByKey()
-      .mapValues(_.toSeq.groupMap(_._1)(_._2))
-
-    val values = Dictionary.ids(triples.select($"s").union(objTriples.select($"o")))
-    val bc = spark.sparkContext.broadcast(values)
-    val vertices = spark.sparkContext
-      .parallelize(values.toSeq.map { case (v, id) => (id, v) })
-      .leftOuterJoin(
-        nodeProps.map { case (v, props) => (bc.value(v), props) })
-      .map { case (id, (v, props)) => (id, (v, props.getOrElse(Map.empty[String, Seq[String]]))) }
-    val edges = objTriples.rdd.map(r =>
-      Edge(bc.value(r.getString(0)), bc.value(r.getString(2)), r.getString(1)))
-    graph = Graph(vertices, edges,
-      defaultVertexAttr = null.asInstanceOf[(String, Map[String, Seq[String]])],
-      edgeStorageLevel = StorageLevel.MEMORY_AND_DISK,
-      vertexStorageLevel = StorageLevel.MEMORY_AND_DISK)
-    graph.triplets.count()
+    // one vertex per subject and per object-property object, carrying its
+    // data properties; the object-property triples are the edges
+    val data = dataProps // local: the closure must not capture the engine
+    val vertices = triples.rdd.flatMap { r =>
+      val (s, p, o) = (r.getString(0), r.getString(1), r.getString(2))
+      if (data(p)) Seq(s -> Some(p -> o)) else Seq(s -> None, o -> None)
+    }.groupByKey().map { case (v, props) => (v, (v, props.flatten.toSeq.groupMap(_._1)(_._2))) }
+    graph = RdfGraph.build(triples.where(!$"p".isin(dataProps.toSeq: _*)), vertices)
   }
 
   // ---- query plan (BFS tree over object-property patterns) -----------------

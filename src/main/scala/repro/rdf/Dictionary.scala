@@ -1,49 +1,31 @@
 package repro.rdf
 
-import org.apache.spark.broadcast.Broadcast
+import scala.collection.Searching.Found
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.DataFrame
 
 /** String → integer dictionary encoding of an RDF dataset.
   *
   * HAQWA "performs an encoding of string values to integer ones on data,
   * which minimizes data volume and makes processing more efficient" — this
-  * is that component, reusable by any engine.
+  * is that component, and the Graph Model engines' vertex ids.
   *
-  * The dictionary covers every distinct value appearing in s, p or o.
+  * One sorted array of distinct values: a value's id is its rank in it, so
+  * ids are 0, 1, … and deterministic. It lives on the driver and is
+  * broadcast as a whole where executors need it — fine at the survey's
+  * data scales here; a cluster deployment would keep it distributed.
   */
-final case class Dictionary(
-    idOf: Map[String, Long],                // value → id, on the driver (for encoding constants)
-    encoded: RDD[(Long, Long, Long)],       // (sId, pId, oId)
-    values: Broadcast[Map[Long, String]],   // id → value, broadcast once (for decoding results)
-) {
-  def valueOf: Map[Long, String] = values.value
+final class Dictionary private (values: Array[String]) extends Serializable {
 
-  def encodeConst(v: String): Option[Long] = idOf.get(v)
+  def id(v: String): Option[Long] = values.search(v) match {
+    case Found(i) => Some(i.toLong)
+    case _        => None
+  }
+
+  def value(id: Long): String = values(id.toInt)
 }
 
 object Dictionary {
 
-  /** Ids 0, 1, … for the distinct strings of a one-column DataFrame,
-    * assigned by sorted value order, so deterministic. The map lives on the
-    * driver (broadcast where executors need it) — fine at the survey's data
-    * scales here; a cluster deployment would keep it distributed.
-    */
-  def ids(values: DataFrame): Map[String, Long] =
-    values.distinct().collect().map(_.getString(0)).sorted
-      .zipWithIndex.map { case (v, i) => v -> i.toLong }.toMap
-
-  /** Builds the dictionary and the encoded triples from a triples DataFrame
-    * with string columns s, p, o.
-    */
-  def encode(triples: DataFrame): Dictionary = {
-    val sc = triples.sparkSession.sparkContext
-    val idOf = ids(triples.select("s").union(triples.select("p")).union(triples.select("o")))
-    val bc = sc.broadcast(idOf)
-    val encoded = triples.rdd.map { r =>
-      val id = bc.value
-      (id(r.getString(0)), id(r.getString(1)), id(r.getString(2)))
-    }
-    Dictionary(idOf, encoded, sc.broadcast(idOf.map(_.swap)))
-  }
+  /** The dictionary of the distinct strings of `values`. */
+  def apply(values: RDD[String]): Dictionary = new Dictionary(values.distinct().collect().sorted)
 }

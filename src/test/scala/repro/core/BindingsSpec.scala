@@ -21,8 +21,11 @@ class BindingsSpec extends SparkSpec {
   private lazy val triplesRdd = spark.sparkContext.parallelize(triples)
 
   /** The bag of an RDD's bindings: each distinct binding and its count. */
-  private def bag(r: RDD[Binding]): Map[Binding, Int] =
-    r.collect().groupBy(identity).view.mapValues(_.length).toMap
+  private def bag(r: RDD[Binding]): Map[Binding, Int] = bag(r.collect().toSeq)
+  private def bag(bs: Seq[Binding]): Map[Binding, Int] = bs.groupBy(identity).view.mapValues(_.length).toMap
+
+  /** The bag of the operands' natural join, merged on the driver. */
+  private def merged(ops: RDD[Binding]*): Map[Binding, Int] = bag(ops.map(_.collect().toSeq).reduce(Bindings.mergeLocal))
 
   /** The shuffles in an RDD's lineage. */
   private def shuffles(r: RDD[_]): Int =
@@ -50,23 +53,23 @@ class BindingsSpec extends SparkSpec {
     assert(Bindings.bindTriple(TriplePattern(Const("px"), Var("p"), Var("o")), "p1", "name", "alice").isEmpty)
   }
 
-  test("joinOn merges compatible bindings on keys") {
+  test("joinAll of two operands merges compatible bindings on shared variables") {
     val l = rdd(Map("x" -> "1", "y" -> "a"), Map("x" -> "2", "y" -> "b"))
     val r = rdd(Map("x" -> "1", "z" -> "!"))
-    val out = Bindings.joinOn(l, r, Seq("x")).collect().toSet
+    val out = Bindings.joinAll(Seq(Rows(l, Set("x", "y")), Rows(r, Set("x", "z")))).collect().toSet
     assert(out == Set(Map("x" -> "1", "y" -> "a", "z" -> "!")))
   }
 
-  test("joinOn with empty keys is a cartesian product") {
+  test("joinAll of two operands sharing no variable is a cartesian product") {
     val l = rdd(Map("x" -> "1"), Map("x" -> "2"))
     val r = rdd(Map("y" -> "a"), Map("y" -> "b"))
-    assert(Bindings.joinOn(l, r, Seq.empty).count() == 4)
+    assert(Bindings.joinAll(Seq(Rows(l, Set("x")), Rows(r, Set("y")))).count() == 4)
   }
 
   test("join preserves bag semantics (duplicates multiply)") {
     val l = rdd(Map("x" -> "1"), Map("x" -> "1"))
     val r = rdd(Map("x" -> "1", "y" -> "a"))
-    assert(Bindings.joinOn(l, r, Seq("x")).count() == 2)
+    assert(Bindings.joinAll(Seq(Rows(l, Set("x")), Rows(r, Set("x", "y")))).count() == 2)
   }
 
   test("leftJoin keeps unmatched left rows") {
@@ -84,11 +87,11 @@ class BindingsSpec extends SparkSpec {
     assert(out == Set(Map("x" -> "1", "y" -> "a", "z" -> "!"), Map("x" -> "2")))
   }
 
-  test("joinOn and leftJoin partition to the cores, not to their inputs") {
+  test("joinAll and leftJoin partition to the cores, not to their inputs") {
     val l = spark.sparkContext.parallelize(Seq(Map("x" -> "1"), Map("x" -> "2")), 64)
     val r = spark.sparkContext.parallelize(Seq(Map("x" -> "1", "y" -> "a")), 64)
     val cores = spark.sparkContext.defaultParallelism
-    assert(Bindings.joinOn(l, r, Seq("x")).getNumPartitions == cores)
+    assert(Bindings.joinAll(Seq(Rows(l, Set("x")), Rows(r, Set("x", "y")))).getNumPartitions == cores)
     assert(Bindings.leftJoin(l, r, Seq("x")).getNumPartitions == cores)
   }
 
@@ -138,15 +141,14 @@ class BindingsSpec extends SparkSpec {
       Map(1L -> Seq(Map("x" -> "1", "y" -> "a", "z" -> "c"))))
   }
 
-  test("joinAll co-groups a run of same-key operands into the bag chained joinOns give") {
+  test("joinAll co-groups a run of same-key operands into their merged bag") {
     // x = 1 matches 2 × 2 × 2 bindings; x = 2 misses the third operand
     val a = rdd(Map("x" -> "1", "a" -> "1"), Map("x" -> "1", "a" -> "2"), Map("x" -> "2", "a" -> "3"))
     val b = rdd(Map("x" -> "1", "b" -> "1"), Map("x" -> "1", "b" -> "1"), Map("x" -> "2", "b" -> "2"))
     val c = rdd(Map("x" -> "1", "c" -> "1"), Map("x" -> "1", "c" -> "2"), Map("x" -> "3", "c" -> "3"))
     val joined = Bindings.joinAll(Seq(Rows(a, Set("x", "a")), Rows(b, Set("x", "b")), Rows(c, Set("x", "c"))))
-    val chained = Bindings.joinOn(Bindings.joinOn(a, b, Seq("x")), c, Seq("x"))
     assert(joined.count() == 8)
-    assert(bag(joined) == bag(chained))
+    assert(bag(joined) == merged(a, b, c))
     // one join level: each operand is shuffled once, the product is not
     assert(shuffles(joined) == 3)
   }
@@ -156,7 +158,7 @@ class BindingsSpec extends SparkSpec {
     val b = rdd(Map("x" -> "1", "b" -> "1"), Map("x" -> "2", "b" -> "2"))
     val c = rdd(Map("b" -> "1", "c" -> "1"), Map("b" -> "1", "c" -> "2"))
     val joined = Bindings.joinAll(Seq(Rows(a, Set("x", "a")), Rows(b, Set("x", "b")), Rows(c, Set("b", "c"))))
-    assert(bag(joined) == bag(Bindings.joinOn(Bindings.joinOn(a, b, Seq("x")), c, Seq("b"))))
+    assert(bag(joined) == merged(a, b, c))
     assert(joined.count() == 2)
     // a and b at the first level, their join and c at the second
     assert(shuffles(joined) == 4)

@@ -4,7 +4,7 @@ import org.apache.spark.JobCount
 import repro.Oracle
 import repro.engines.haqwa.Haqwa
 import repro.harness.Battery
-import repro.sparql.{Parser, ReferenceSql}
+import repro.sparql.{Parser, Query, ReferenceSql}
 
 class HaqwaSpec extends EngineContract("HAQWA", () => new Haqwa(Engines.defaultWorkload)) {
 
@@ -60,5 +60,17 @@ class HaqwaSpec extends EngineContract("HAQWA", () => new Haqwa(Engines.defaultW
     val df = blind.execute(twoHop)
     val (_, work) = JobCount.work(spark.sparkContext)(df.collect())
     assert(work.shuffleWriteBytes > 0L, work)
+  }
+
+  test("a workload query that is not made local replicates nothing at load") {
+    // ?c's fragment hangs off no link from the seed, so the query is not
+    // registered, and loading it costs what loading no workload costs
+    val q = Parser.parse("SELECT * WHERE { ?a follows ?b . ?b name ?n . ?c name ?n }")
+    def loadWork(workload: Seq[Query]) = JobCount.work(spark.sparkContext)(new Haqwa(workload).load(triples))._2
+    loadWork(Seq.empty) // warm-up
+    val blindWork = loadWork(Seq.empty)
+    val work = loadWork(Seq(q))
+    assert(work.stages == blindWork.stages, (work, blindWork))
+    assert(work.shuffleWriteBytes == blindWork.shuffleWriteBytes, (work, blindWork))
   }
 }
